@@ -10,8 +10,8 @@ analysis against the separate-encoding baseline, and a streaming simulator.
 
 __version__ = "0.1.0"
 
-from .galois import FieldElement, FieldSpec, ff_add, ff_inv, ff_mul, in_base_field
-from .linalg import Matrix, UnitVector, is_mds, rank, solve_for_unit
+from .galois import FieldSpec
+from .linalg import Matrix, is_mds, rank
 from .channel import (
     ChannelModel,
     ErasurePattern,
@@ -46,13 +46,11 @@ __all__ = [
     "ChannelModel",
     "DecodeReport",
     "ErasurePattern",
-    "FieldElement",
     "FieldSpec",
     "Matrix",
     "MuxCode",
     "MuxParams",
     "RateReport",
-    "UnitVector",
     "apply_erasure",
     "build_mux_code",
     "build_single_code",
@@ -62,11 +60,7 @@ __all__ = [
     "decode_message",
     "earliest_decode_time",
     "enumerate_admissible_patterns",
-    "ff_add",
-    "ff_inv",
-    "ff_mul",
     "gain_table",
-    "in_base_field",
     "is_admissible",
     "is_mds",
     "merge_codewords",
@@ -77,7 +71,6 @@ __all__ = [
     "select_parameters",
     "separate_sum_rate",
     "simulate_stream",
-    "solve_for_unit",
     "stream_encode",
     "verify_achievable",
     "verify_single_structure",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 ERASURE_MARK = "*"
 
@@ -59,12 +59,9 @@ class ErasurePattern:
         return ErasurePattern(length, tuple(t - start for t in self.erased[lo:hi]))
 
 
-def is_admissible(p: ErasurePattern, ch: ChannelModel) -> bool:
-    """Window rule over every start offset whose window meets the horizon."""
-    erased = p.erased
-    if not erased:
-        return True
-    for i in range(p.horizon):
+def _windows_ok(erased: Sequence[int], starts: Iterable[int], ch: ChannelModel) -> bool:
+    """Window rule for the windows [i, i+W) with i in starts; erased sorted."""
+    for i in starts:
         lo = bisect_left(erased, i)
         hi = bisect_right(erased, i + ch.W - 1)
         cnt = hi - lo
@@ -76,6 +73,11 @@ def is_admissible(p: ErasurePattern, ch: ChannelModel) -> bool:
         if erased[hi - 1] - erased[lo] + 1 != cnt:
             return False
     return True
+
+
+def is_admissible(p: ErasurePattern, ch: ChannelModel) -> bool:
+    """Window rule over every start offset whose window meets the horizon."""
+    return not p.erased or _windows_ok(p.erased, range(p.horizon), ch)
 
 
 def enumerate_admissible_patterns(
@@ -147,37 +149,26 @@ def random_erasure_sequence(
     erased: list[int] = []  # grown in increasing order
 
     def admits(extra: list[int]) -> bool:
-        # only windows containing a new erasure can change, so check
-        # window starts in [first_new - W + 1, last_new] against the
-        # candidate pattern
-        cand = erased + extra
-        cand_set = sorted(cand)
-        lo = max(0, extra[0] - ch.W + 1)
-        for i in range(lo, extra[-1] + 1):
-            a = bisect_left(cand_set, i)
-            b = bisect_right(cand_set, i + ch.W - 1)
-            cnt = b - a
-            if cnt <= ch.N:
-                continue
-            if cnt > ch.B:
-                return False
-            if cand_set[b - 1] - cand_set[a] + 1 != cnt:
-                return False
-        return True
+        # extra lies past every erasure so far, so erased stays sorted; only
+        # windows containing a new erasure can change, so check window
+        # starts in [first_new - W + 1, last_new], and roll back on a reject
+        erased.extend(extra)
+        if _windows_ok(erased, range(max(0, extra[0] - ch.W + 1), extra[-1] + 1), ch):
+            return True
+        del erased[-len(extra) :]
+        return False
 
     t = 0
     while t < length:
         roll = rng.random()
         if roll < burst_prob:
             blen = rng.randint(ch.N + 1, ch.B)
-            burst = [s for s in range(t, min(t + blen, length))]
-            if burst and admits(burst):
-                erased.extend(burst)
+            burst = list(range(t, min(t + blen, length)))
+            if admits(burst):
                 t += len(burst)
                 continue
         elif roll < burst_prob + erasure_prob:
-            if admits([t]):
-                erased.append(t)
+            admits([t])
         t += 1
     return ErasurePattern(length, tuple(erased))
 

@@ -2,9 +2,11 @@
 
 For a linear code, message symbol j is recoverable from the received
 positions S exactly when the unit vector e_j lies in the column span of
-the generator restricted to S.  The decoder scans time once per erasure
-pattern, growing the received column span incrementally, so each pattern
-costs one elimination sweep instead of one per (symbol, time) pair.
+the generator restricted to S.  One sweep over time per erasure pattern,
+growing a ColumnSpan of the received columns, gives every symbol's
+earliest decode time; check_pattern, earliest_decode_time and
+decode_message all read it.  decode_message extends each column by its
+received symbol, so the sweep also yields the decoded values.
 
 The verifier realises the achievability quantifier "for every admissible
 erasure sequence": it walks all maximal admissible patterns (decoding can
@@ -17,10 +19,10 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .channel import ERASURE_MARK, ChannelModel, ErasurePattern, enumerate_admissible_patterns
-from .linalg import ColumnSpan, Matrix, solve_for_unit
+from .linalg import ColumnSpan, Matrix
 
 
 @dataclass(frozen=True)
@@ -113,24 +115,25 @@ def mux_deadlines(k_v: int, k_u: int, h: int, n: int, T_v: int, T_u: int) -> lis
     return out
 
 
-def _decode_times(g: Matrix, p: ErasurePattern) -> list[Optional[int]]:
-    """Earliest decode time per row under pattern p, None where never."""
-    span = ColumnSpan(g.field, g.rows)
-    times: list[Optional[int]] = [None] * g.rows
-    pending = set(range(g.rows))
-    for t in range(g.cols):
-        if t in p:
+def _decode_times(
+    span: ColumnSpan, columns: Iterable[list[int]], p: ErasurePattern
+) -> list[Optional[int]]:
+    """Earliest decode time per coordinate of span, None where never.
+
+    columns yields the column of every slot in time order; erased slots
+    are skipped.  Coordinate j decodes at the slot whose column brings e_j
+    into the span.
+    """
+    times: list[Optional[int]] = [None] * span.dim
+    pending = set(range(span.dim))
+    for t, col in enumerate(columns):
+        if t in p or not span.add(col):
             continue
-        if not span.add(g.col(t)):
-            continue
-        if span.dimension == g.rows:
-            for j in pending:
-                times[j] = t
-            pending.clear()
-            break
         for j in [j for j in pending if span.contains_unit(j)]:
             times[j] = t
             pending.discard(j)
+        if not pending:
+            break
     return times
 
 
@@ -138,20 +141,14 @@ def earliest_decode_time(g: Matrix, p: ErasurePattern, j: int) -> Optional[int]:
     """Smallest t with e_j in the span of unerased columns <= t; None if never."""
     if not 0 <= j < g.rows:
         raise ValueError(f"symbol index {j} out of range")
-    span = ColumnSpan(g.field, g.rows)
-    for t in range(g.cols):
-        if t in p:
-            continue
-        if span.add(g.col(t)) and span.contains_unit(j):
-            return t
-    return None
+    return _decode_times(ColumnSpan(g.field, g.rows), map(g.col, range(g.cols)), p)[j]
 
 
 def check_pattern(
     g: Matrix, p: ErasurePattern, symbols: Sequence[SymbolDeadline]
 ) -> DecodeReport:
     """Decode times of all symbols under one pattern, checked against deadlines."""
-    times = _decode_times(g, p)
+    times = _decode_times(ColumnSpan(g.field, g.rows), map(g.col, range(g.cols)), p)
     results = []
     for s in symbols:
         t = times[s.row]
@@ -168,9 +165,11 @@ def decode_message(
 ) -> DecodeReport:
     """Decode actual symbol values from a received sequence.
 
-    Each decodable symbol's value is y_S . h with h the canonical solving
-    coefficients at its earliest decode time.  Symbols that never decode
-    are still reported (no early abort), to support falsification tests.
+    Each generator column is extended by its received symbol before it
+    enters the span.  Since received = x . G is linear, the basis column
+    that becomes e_j carries x_j in that extra entry, and keeps it as
+    later columns arrive.  Symbols that never decode are still reported
+    (no early abort), to support falsification tests.
     """
     if len(received) != g.cols:
         raise ValueError("received length must equal codeword length")
@@ -179,20 +178,12 @@ def decode_message(
             raise ValueError(f"received sequence inconsistent with pattern at slot {t}")
     if symbols is None:
         symbols = block_deadlines(g.rows, g.cols, g.cols - 1)
-    f = g.field
-    times = _decode_times(g, p)
+    span = ColumnSpan(g.field, g.rows)
+    times = _decode_times(span, (g.col(t) + [y] for t, y in enumerate(received)), p)
     results = []
     for s in symbols:
         t = times[s.row]
-        value = None
-        if t is not None:
-            avail = [c for c in range(t + 1) if c not in p]
-            h = solve_for_unit(g.take_cols(avail), s.row)
-            acc = 0
-            for c, hc in zip(avail, h):
-                if hc:
-                    acc = f.add(acc, f.mul(received[c], hc))
-            value = acc
+        value = None if t is None else span.basis[s.row][g.rows]
         met = t is not None and t <= s.deadline
         results.append(SymbolResult(s.kind, s.index, s.gen_time, s.deadline, t, met, value))
     return DecodeReport(tuple(results))

@@ -2,15 +2,15 @@
 
 Elements of GF(q^2) are residues lo + hi*x of GF(q)[x] modulo a monic
 irreducible quadratic x^2 + c1*x + c0.  The base field embeds as the
-elements with hi = 0.  For compact storage (and for the matrix dump
-format) every element also has an integer display code hi*q + lo; all
-bulk linear algebra in this package works directly on these codes via
-the code-level methods of :class:`FieldSpec`.
+elements with hi = 0.  An element is held as its integer display code
+hi*q + lo (also the matrix dump format), and all arithmetic in this
+package goes through the code-level methods of :class:`FieldSpec`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 def is_prime(n: int) -> bool:
@@ -34,6 +34,22 @@ def next_prime(n: int) -> int:
     while not is_prime(p):
         p += 1
     return p
+
+
+_Q_BUMP_EVERY = 4
+
+
+def field_sizes(q: int, attempts: int) -> Iterator[int]:
+    """The field size of each of `attempts` randomized draws, from prime q.
+
+    Every few draws q moves to the next prime >= max(q+2, 3q/2): the
+    draw-pass probability behaves like exp(-c/q), so the field grows
+    geometrically rather than one prime at a time.
+    """
+    for attempt in range(attempts):
+        if attempt > 0 and attempt % _Q_BUMP_EVERY == 0:
+            q = next_prime(max(q + 2, q * 3 // 2))
+        yield q
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -130,14 +146,6 @@ class FieldSpec:
         hi = -a1 * ninv % q
         return hi * q + lo
 
-    def element(self, lo: int, hi: int = 0) -> "FieldElement":
-        return FieldElement(lo % self.q, hi % self.q, self)
-
-    def from_code(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for GF({self.q}^2)")
-        return FieldElement(code % self.q, code // self.q, self)
-
 
 def field_spec(q: int) -> FieldSpec:
     """Default FieldSpec for prime q.
@@ -150,67 +158,3 @@ def field_spec(q: int) -> FieldSpec:
         return FieldSpec(2, 1, 1)
     r = smallest_nonresidue(q)
     return FieldSpec(q, 0, (-r) % q)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """lo + hi*x in GF(q)[x]/(x^2 + c1*x + c0); display code hi*q + lo."""
-
-    lo: int
-    hi: int
-    spec: FieldSpec
-
-    def __post_init__(self):
-        q = self.spec.q
-        if not (0 <= self.lo < q and 0 <= self.hi < q):
-            raise ValueError(f"coordinates ({self.lo},{self.hi}) out of range for q={q}")
-
-    @property
-    def code(self) -> int:
-        return self.hi * self.spec.q + self.lo
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return ff_add(self, other)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        _check_same_spec(self, other)
-        return self.spec.from_code(self.spec.sub(self.code, other.code))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return ff_mul(self, other)
-
-    def __neg__(self) -> "FieldElement":
-        return self.spec.from_code(self.spec.neg(self.code))
-
-    def inverse(self) -> "FieldElement":
-        return ff_inv(self)
-
-    def __repr__(self):
-        return f"GF({self.spec.q}^2:{self.code})"
-
-
-def _check_same_spec(a: FieldElement, b: FieldElement):
-    if a.spec != b.spec:
-        raise ValueError(f"mismatched field specs: {a.spec} vs {b.spec}")
-
-
-def ff_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Componentwise sum mod q."""
-    _check_same_spec(a, b)
-    return a.spec.from_code(a.spec.add(a.code, b.code))
-
-
-def ff_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Polynomial product reduced by the extension quadratic, then mod q."""
-    _check_same_spec(a, b)
-    return a.spec.from_code(a.spec.mul(a.code, b.code))
-
-
-def ff_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises on zero."""
-    return a.spec.from_code(a.spec.inv(a.code))
-
-
-def in_base_field(a: FieldElement) -> bool:
-    """True iff the element lies in GF(q), i.e. hi = 0."""
-    return a.hi == 0

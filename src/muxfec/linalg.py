@@ -2,32 +2,19 @@
 
 Matrices store their entries as integer display codes (see galois) in a
 flat row-major tuple; all arithmetic goes through the FieldSpec code
-methods.  Gaussian elimination uses first-nonzero pivoting, which is
-deterministic and needs no stability considerations in an exact field.
+methods.  The one elimination is ColumnSpan, which grows a fully reduced
+column basis with first-nonzero pivoting: deterministic, and with no
+stability considerations in an exact field.  rank, is_mds and the
+decoder's unit-vector membership and value recovery all rest on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .galois import FieldSpec
-
-
-@dataclass(frozen=True)
-class UnitVector:
-    dim: int
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.dim:
-            raise ValueError(f"unit index {self.index} out of range for dim {self.dim}")
-
-    def as_list(self) -> list[int]:
-        v = [0] * self.dim
-        v[self.index] = 1
-        return v
 
 
 @dataclass(frozen=True)
@@ -127,107 +114,50 @@ class Matrix:
         return Matrix(d["rows"], d["cols"], field, tuple(d["entries"]))
 
 
-def _echelon(field: FieldSpec, rows: list[list[int]]) -> int:
-    """In-place row echelon reduction; returns the rank."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    nrows = len(rows)
-    sub, mul, inv = field.sub, field.mul, field.inv
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pe = inv(rows[r][c])
-        rows[r] = [mul(pe, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def rank(m: Matrix) -> int:
-    """Row rank via Gaussian elimination."""
-    return _echelon(m.field, m.row_list())
-
-
-def solve_for_unit(m: Matrix, j: int) -> Optional[list[int]]:
-    """Coefficients h with M.h = e_j, or None when e_j is outside the column span.
-
-    Free variables are fixed to zero, so the result is the canonical
-    solution of the elimination and reproducible.
-    """
-    if not 0 <= j < m.rows:
-        raise ValueError(f"unit index {j} out of range for {m.rows} rows")
-    field = m.field
-    # augmented rows [M | e_j]
-    rows = [m.row(i) + [1 if i == j else 0] for i in range(m.rows)]
-    nc = m.cols
-    sub, mul, inv = field.sub, field.mul, field.inv
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pe = inv(rows[r][c])
-        rows[r] = [mul(pe, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
-        pivots.append((r, c))
-        r += 1
-        if r == m.rows:
-            break
-    # rows without a pivot must have zero right-hand side
-    for i in range(r, m.rows):
-        if rows[i][nc]:
-            return None
-    h = [0] * nc
-    for i, c in pivots:
-        h[c] = rows[i][nc]
-    return h
+    """Column rank, which equals the row rank."""
+    span = ColumnSpan(m.field, m.rows)
+    for j in range(m.cols):
+        span.add(m.col(j))
+    return span.dimension
 
 
 def is_mds(g: Matrix) -> bool:
     """True iff every selection of `rows` columns is linearly independent.
 
-    A 0-row matrix is vacuously MDS (degenerate sub-blocks of short codes).
+    A selection is rejected at its first column that does not enlarge the
+    span of the ones before it.  A 0-row matrix is vacuously MDS
+    (degenerate sub-blocks of short codes).
     """
     if g.rows > g.cols:
         raise ValueError("is_mds requires rows <= cols")
-    if g.rows == 0:
-        return True
-    for sel in itertools.combinations(range(g.cols), g.rows):
-        if rank(g.take_cols(sel)) < g.rows:
+    cols = [g.col(j) for j in range(g.cols)]
+    for sel in itertools.combinations(cols, g.rows):
+        span = ColumnSpan(g.field, g.rows)
+        if not all(span.add(c) for c in sel):
             return False
     return True
 
 
 class ColumnSpan:
-    """Incrementally grown column space with unit-vector membership queries.
+    """Incrementally grown span of columns in GF(q^2)^dim.
 
-    Basis columns are kept reduced (each pivot row is zeroed in all other
-    basis columns), so testing e_j against the span is a single reduction
-    pass.  Used by the decoder to process erasure patterns in one sweep
-    over time instead of one elimination per (symbol, time) pair.
+    The basis is fully reduced: the basis column of pivot p has a 1 at p
+    and a 0 at every other pivot.  So e_j lies in the span exactly when j
+    is a pivot whose basis column is zero off the pivots, a lookup with no
+    field operations.
+
+    A column may be longer than dim.  Its entries past dim are carried
+    through every reduction but never chosen as pivots.  A basis column
+    that equals e_j on its first dim coordinates therefore carries the
+    tails of the added columns combined with the same coefficients that
+    combine their heads into e_j.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
         self.field = field
         self.dim = dim
-        self.basis: list[list[int]] = []
-        self.pivots: list[int] = []
+        self.basis: dict[int, list[int]] = {}  # pivot -> basis column
 
     @property
     def dimension(self) -> int:
@@ -238,32 +168,24 @@ class ColumnSpan:
         f = self.field
         sub, mul = f.sub, f.mul
         r = list(col)
-        for b, p in zip(self.basis, self.pivots):
+        for p, b in self.basis.items():
             c = r[p]
             if c:
                 r = [sub(x, mul(c, y)) for x, y in zip(r, b)]
-        p = next((i for i, x in enumerate(r) if x), None)
+        p = next((i for i in range(self.dim) if r[i]), None)
         if p is None:
             return False
         pinv = f.inv(r[p])
         r = [mul(pinv, x) for x in r]
-        for idx, b in enumerate(self.basis):
+        basis = self.basis
+        for q, b in basis.items():
             c = b[p]
             if c:
-                self.basis[idx] = [sub(x, mul(c, y)) for x, y in zip(b, r)]
-        self.basis.append(r)
-        self.pivots.append(p)
+                basis[q] = [sub(x, mul(c, y)) for x, y in zip(b, r)]
+        basis[p] = r
         return True
 
     def contains_unit(self, j: int) -> bool:
-        if len(self.basis) == self.dim:
-            return True
-        f = self.field
-        sub, mul = f.sub, f.mul
-        r = [0] * self.dim
-        r[j] = 1
-        for b, p in zip(self.basis, self.pivots):
-            c = r[p]
-            if c:
-                r = [sub(x, mul(c, y)) for x, y in zip(r, b)]
-        return not any(r)
+        """True iff e_j lies in the span."""
+        b = self.basis.get(j)
+        return b is not None and not any(b[:j]) and not any(b[j + 1 : self.dim])

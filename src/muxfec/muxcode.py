@@ -31,14 +31,12 @@ from typing import Optional, Sequence
 
 from .channel import ChannelModel
 from .decoder import mux_deadlines, verify_matrix
-from .galois import FieldSpec, next_prime
+from .galois import FieldSpec, field_sizes, next_prime
 from .linalg import Matrix, is_mds
 from .singlecode import BASE_SPECIAL, EXTENSION_SPECIAL, BlockCode, build_single_code
 
 BURST_DOMINANT = "burst-dominant"
 RANDOM_DOMINANT = "random-dominant"
-
-_Q_BUMP_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -184,15 +182,10 @@ def build_mux_code(params: MuxParams, seed: int = 0, max_tries: int = 64) -> Mux
     matrix under (W, B, N).  Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
-    q = initial_prime(params)
     deadlines = mux_deadlines(params.k_v, params.k_u, params.h, params.n, params.T_v, params.T_u)
     ch = ChannelModel(params.W, params.B, params.N)
     last_failure = "no attempts made"
-    for attempt in range(max_tries):
-        if attempt > 0 and attempt % _Q_BUMP_EVERY == 0:
-            # the draw-pass probability behaves like exp(-c/q), so grow the
-            # field geometrically rather than one prime at a time
-            q = next_prime(max(q + 2, q * 3 // 2))
+    for q in field_sizes(initial_prime(params), max_tries):
         s1 = rng.randrange(2**63)
         s2 = rng.randrange(2**63)
         try:

@@ -31,13 +31,11 @@ from typing import Optional
 
 from .channel import ChannelModel
 from .decoder import block_deadlines, verify_matrix
-from .galois import FieldSpec, field_spec, next_prime
+from .galois import FieldSpec, field_sizes, field_spec, next_prime
 from .linalg import Matrix, is_mds
 
 BASE_SPECIAL = "base-field-special"
 EXTENSION_SPECIAL = "extension-special"
-
-_Q_BUMP_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -201,16 +199,12 @@ def build_single_code(
     k = T - N + 1
     n = k + B
     rng = random.Random(seed)
-    cur_q = q if q is not None else next_prime(k + N)
-    field = field_spec(cur_q)
+    sizes = [q] * max_tries if q is not None else field_sizes(next_prime(k + N), max_tries)
     ch = ChannelModel(T + 1, B, N)
     deadlines = block_deadlines(k, n, T)
     last_failure = "no attempts made"
-    for attempt in range(max_tries):
-        if q is None and attempt > 0 and attempt % _Q_BUMP_EVERY == 0:
-            # draw-pass probability behaves like exp(-c/q); grow geometrically
-            cur_q = next_prime(max(cur_q + 2, cur_q * 3 // 2))
-            field = field_spec(cur_q)
+    for cur_q in sizes:
+        field = field_spec(cur_q)
         g, special = _draw_matrix(field, T, B, N, variant, rng)
         code = BlockCode(T, B, N, k, n, g, field, seed, variant, special)
         structure = verify_single_structure(code)

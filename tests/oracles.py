@@ -101,6 +101,12 @@ def rank_bruteforce(rows, q, c1, c0):
     return 0
 
 
+def unit_in_span_bruteforce(rows, j, q, c1, c0):
+    """e_j in the column span of rows  <=>  rank([rows | e_j]) = rank(rows)."""
+    aug = [row + [(1, 0) if i == j else (0, 0)] for i, row in enumerate(rows)]
+    return rank_bruteforce(aug, q, c1, c0) == rank_bruteforce(rows, q, c1, c0)
+
+
 def is_mds_bruteforce(rows, q, c1, c0):
     """Every maximal minor nonzero, by permutation-expansion determinants."""
     nr, nc = len(rows), len(rows[0]) if rows else 0

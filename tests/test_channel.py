@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -149,6 +150,11 @@ def test_random_sequence_deterministic():
     b = random_erasure_sequence(200, ch, seed=3)
     assert a == b
     assert random_erasure_sequence(200, ch, seed=4) != a
+    # pinned trace: a change that moves the sampler's draws fails here
+    long = random_erasure_sequence(5000, ch, seed=2)
+    digest = hashlib.sha256(",".join(map(str, long.erased)).encode()).hexdigest()
+    assert len(long.erased) == 299
+    assert digest == "d309e65c4dd0ee84481434c774818e62f9c29292ee4941256dfaea849acd3240"
 
 
 def test_random_sequence_zero_probability_empty():

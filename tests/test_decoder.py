@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from muxfec.channel import ChannelModel, ErasurePattern, apply_erasure
+from muxfec.channel import (
+    ChannelModel,
+    ErasurePattern,
+    apply_erasure,
+    enumerate_admissible_patterns,
+)
 from muxfec.decoder import (
     block_deadlines,
     check_pattern,
@@ -14,7 +19,7 @@ from muxfec.decoder import (
 )
 from muxfec.singlecode import build_single_code
 
-from oracles import sequential_substitution
+from oracles import codes_to_pairs, sequential_substitution, unit_in_span_bruteforce
 
 
 @pytest.fixture(scope="module")
@@ -182,24 +187,42 @@ def test_verify_single_code_against_block_deadlines(single_code):
 
 def test_decoder_times_never_beat_span_rank():
     """Decode time reported only when the unit vector truly enters the span."""
-    from muxfec.linalg import solve_for_unit
-
     code = build_single_code(6, 4, 2, seed=2)
+    f = code.field
     rng = random.Random(1)
+
+    def in_span(cols, j):
+        pairs = codes_to_pairs(code.G.take_cols(cols))
+        return unit_in_span_bruteforce(pairs, j, f.q, f.c1, f.c0)
+
     for _ in range(25):
         erased = tuple(sorted(rng.sample(range(code.n), rng.randint(0, 4))))
         p = ErasurePattern(code.n, erased)
         for j in range(code.k):
             t = earliest_decode_time(code.G, p, j)
             if t is None:
-                avail = [c for c in range(code.n) if c not in p]
-                assert solve_for_unit(code.G.take_cols(avail), j) is None
+                assert not in_span([c for c in range(code.n) if c not in p], j)
             else:
-                avail = [c for c in range(t + 1) if c not in p]
-                assert solve_for_unit(code.G.take_cols(avail), j) is not None
-                if t > 0:
-                    prior = [c for c in range(t) if c not in p]
-                    assert solve_for_unit(code.G.take_cols(prior), j) is None
+                assert in_span([c for c in range(t + 1) if c not in p], j)
+                assert not in_span([c for c in range(t) if c not in p], j)
+
+
+def test_decode_message_recovers_every_maximal_pattern(example_code):
+    """Random GF(q^2) messages come back exactly under every maximal pattern."""
+    rng = random.Random(5)
+    g = example_code.G
+    order = example_code.field.order
+    deadlines = example_code.symbol_deadlines()
+    patterns = enumerate_admissible_patterns(
+        g.cols, example_code.verification_channel(), maximal_only=True
+    )
+    assert patterns
+    for p in patterns:
+        for _ in range(3):
+            msg = [rng.randrange(order) for _ in range(g.rows)]
+            report = decode_message(g, apply_erasure(g.vec_mul(msg), p), p, deadlines)
+            assert report.passed
+            assert [s.value for s in report.symbols] == msg
 
 
 def test_report_serialization(example_code):

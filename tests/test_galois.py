@@ -4,27 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from muxfec.galois import (
-    FieldElement,
     FieldSpec,
-    ff_add,
-    ff_inv,
-    ff_mul,
+    field_sizes,
     field_spec,
-    in_base_field,
     is_prime,
     next_prime,
     smallest_nonresidue,
 )
 
-from oracles import ext_euclid_inverse, o_add, o_mul
-
-
-def elements(spec):
-    return [spec.from_code(c) for c in range(spec.order)]
-
-
-def base_elements(spec):
-    return [spec.from_code(c) for c in range(spec.q)]
+from oracles import ext_euclid_inverse, o_add, o_mul, o_sub
 
 
 def test_default_spec_uses_smallest_nonresidue():
@@ -43,72 +31,62 @@ def test_spec_rejects_composite_and_reducible():
 
 def test_add_examples():
     gf11 = field_spec(11)
-    assert ff_add(gf11.element(7), gf11.element(8)).code == 4  # 15 mod 11
-    assert ff_add(gf11.element(3), gf11.element(0)).code == 3
-    assert ff_add(gf11.element(5, 7), gf11.element(6, 4)).code == 0  # 11 = 0
+    assert gf11.add(7, 8) == 4  # 15 mod 11
+    assert gf11.add(3, 0) == 3
+    assert gf11.add(gf11.code(5, 7), gf11.code(6, 4)) == 0  # 11 = 0
 
 
 def test_mul_examples():
     gf11 = field_spec(11)
-    assert ff_mul(gf11.element(7), gf11.element(8)).code == 1  # 56 mod 11
-    x = gf11.element(0, 1)
+    assert gf11.mul(7, 8) == 1  # 56 mod 11
+    x = gf11.code(0, 1)
     r = smallest_nonresidue(11)
-    assert ff_mul(x, x) == gf11.element(r, 0)  # x^2 = r for ext_poly x^2 - r
-
-
-def test_mismatched_specs_error():
-    a = field_spec(11).element(1)
-    b = field_spec(7).element(1)
-    with pytest.raises(ValueError):
-        ff_add(a, b)
-    with pytest.raises(ValueError):
-        ff_mul(a, b)
+    assert gf11.mul(x, x) == gf11.code(r)  # x^2 = r for ext_poly x^2 - r
 
 
 def test_inv_examples():
     gf11 = field_spec(11)
-    assert ff_inv(gf11.element(3)).code == 4  # 12 mod 11 = 1
-    assert ff_inv(gf11.element(1)).code == 1
+    assert gf11.inv(3) == 4  # 12 mod 11 = 1
+    assert gf11.inv(1) == 1
     with pytest.raises(ValueError, match="zero"):
-        ff_inv(gf11.element(0))
+        gf11.inv(0)
 
 
 def test_beta_inverse_matches_extended_euclid_oracle():
     spec = field_spec(11)
-    beta = spec.from_code(11)  # x itself
-    lo, hi = ext_euclid_inverse((beta.lo, beta.hi), spec.q, spec.c1, spec.c0)
-    oracle_inv = spec.element(lo, hi)
-    assert ff_mul(beta, oracle_inv).code == 1
-    assert ff_inv(beta) == oracle_inv
+    beta = 11  # x itself
+    lo, hi = ext_euclid_inverse(spec.parts(beta), spec.q, spec.c1, spec.c0)
+    oracle_inv = spec.code(lo, hi)
+    assert spec.mul(beta, oracle_inv) == 1
+    assert spec.inv(beta) == oracle_inv
 
 
 @pytest.mark.parametrize("q", [5, 11])
 def test_all_inverses_brute_force(q):
     spec = field_spec(q)
-    for a in elements(spec):
-        if a.code == 0:
-            continue
-        inv = ff_inv(a)
-        assert ff_mul(a, inv).code == 1
+    for a in range(1, spec.order):
+        inv = spec.inv(a)
+        assert spec.mul(a, inv) == 1
         # brute scan: the inverse is the unique element with product 1
-        hits = [b for b in elements(spec) if ff_mul(a, b).code == 1]
+        hits = [b for b in range(spec.order) if spec.mul(a, b) == 1]
         assert hits == [inv]
 
 
 def test_in_base_field():
     spec = field_spec(11)
-    assert in_base_field(spec.from_code(11)) is False  # the beta = 11 convention
-    assert in_base_field(spec.from_code(0)) is True
-    assert in_base_field(spec.from_code(7)) is True
+    assert spec.is_base(11) is False  # the beta = 11 convention
+    assert spec.is_base(0) is True
+    assert spec.is_base(7) is True
 
 
 def test_display_code_round_trip():
     for q in (2, 3, 5, 11):
         spec = field_spec(q)
         for code in range(spec.order):
-            e = spec.from_code(code)
-            assert (e.lo, e.hi) == (code % q, code // q)
-            assert e.code == code
+            lo, hi = spec.parts(code)
+            assert (lo, hi) == (code % q, code // q)
+            assert spec.code(lo, hi) == code
+            assert spec.code(lo + q, hi - q) == code  # coordinates reduce mod q
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
@@ -116,59 +94,51 @@ def test_field_axioms_exhaustive(q):
     """Associativity/commutativity/distributivity on base-field triples,
     plus full pair checks over GF(q^2)."""
     spec = field_spec(q)
-    base = base_elements(spec)
-    for a, b, c in itertools.product(base, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-    ext = elements(spec)
-    zero, one = spec.from_code(0), spec.from_code(1)
+    add, mul = spec.add, spec.mul
+    for a, b, c in itertools.product(range(q), repeat=3):
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    ext = range(spec.order)
     for a, b in itertools.product(ext, repeat=2):
-        assert a + b == b + a
-        assert a * b == b * a
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert spec.sub(a, b) == add(a, spec.neg(b))
     for a in ext:
-        assert a + zero == a
-        assert a * one == a
-        assert a + (-a) == zero
-        if a.code:
-            assert a * ff_inv(a) == one
+        assert add(a, 0) == a
+        assert mul(a, 1) == a
+        assert add(a, spec.neg(a)) == 0
+        if a:
+            assert mul(a, spec.inv(a)) == 1
 
 
 @pytest.mark.parametrize("q", [5, 11, 13])
 def test_extension_closure_and_membership(q):
     spec = field_spec(q)
-    for a in elements(spec):
-        if a.hi != 0:
-            assert not in_base_field(a)
-            sq = ff_mul(a, a)
-            assert 0 <= sq.code < spec.order
+    for a in range(q, spec.order):  # exactly the codes with hi != 0
+        assert not spec.is_base(a)
+        sq = spec.mul(a, a)
+        assert 0 <= sq < spec.order
 
 
 @given(st.sampled_from([3, 5, 7, 11, 13]), st.data())
 def test_axioms_on_random_extension_triples(q, data):
     spec = field_spec(q)
     pick = st.integers(min_value=0, max_value=spec.order - 1)
-    a = spec.from_code(data.draw(pick))
-    b = spec.from_code(data.draw(pick))
-    c = spec.from_code(data.draw(pick))
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    a, b, c = (data.draw(pick) for _ in range(3))
+    add, mul = spec.add, spec.mul
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     q_, c1, c0 = spec.q, spec.c1, spec.c0
-    want = o_mul((a.lo, a.hi), (b.lo, b.hi), q_, c1, c0)
-    got = a * b
-    assert (got.lo, got.hi) == want
-    assert o_add((a.lo, a.hi), (b.lo, b.hi), q_) == ((a + b).lo, (a + b).hi)
+    pa, pb = spec.parts(a), spec.parts(b)
+    assert spec.parts(mul(a, b)) == o_mul(pa, pb, q_, c1, c0)
+    assert spec.parts(add(a, b)) == o_add(pa, pb, q_)
+    assert spec.parts(spec.sub(a, b)) == o_sub(pa, pb, q_)
 
 
 def test_prime_helpers():
     assert [p for p in range(2, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert next_prime(8) == 11
     assert next_prime(11) == 11
-
-
-def test_element_coordinate_validation():
-    spec = field_spec(5)
-    with pytest.raises(ValueError):
-        FieldElement(5, 0, spec)
-    with pytest.raises(ValueError):
-        spec.from_code(25)
+    # the builders' field schedule: four draws per size, then >= 3q/2
+    assert list(field_sizes(7, 9)) == [7, 7, 7, 7, 11, 11, 11, 11, 17]

@@ -3,9 +3,15 @@ import random
 import pytest
 
 from muxfec.galois import field_spec
-from muxfec.linalg import ColumnSpan, Matrix, UnitVector, is_mds, rank, solve_for_unit
+from muxfec.linalg import ColumnSpan, Matrix, is_mds, rank
 
-from oracles import codes_to_pairs, det_bruteforce, is_mds_bruteforce, rank_bruteforce
+from oracles import (
+    codes_to_pairs,
+    det_bruteforce,
+    is_mds_bruteforce,
+    rank_bruteforce,
+    unit_in_span_bruteforce,
+)
 
 GF11 = field_spec(11)
 GF5 = field_spec(5)
@@ -15,6 +21,24 @@ def vandermonde(field, rows, nodes):
     return Matrix.from_rows(
         field, [[pow(x, i, field.q) for x in nodes] for i in range(rows)]
     )
+
+
+def unit(dim, j):
+    return [1 if i == j else 0 for i in range(dim)]
+
+
+def solve_for_unit(m, j):
+    """Coefficients h with M.h = e_j, or None when e_j is outside the span.
+
+    Column t enters the span carrying e_t, so the basis column that equals
+    e_j on the first m.rows coordinates carries the coefficients h.
+    """
+    span = ColumnSpan(m.field, m.rows)
+    for t in range(m.cols):
+        span.add(m.col(t) + unit(m.cols, t))
+    if not span.contains_unit(j):
+        return None
+    return span.basis[j][m.rows :]
 
 
 def test_rank_identity():
@@ -52,6 +76,7 @@ def test_solve_for_unit_identity():
 def test_solve_for_unit_zero_row_unsolvable():
     m = Matrix.from_rows(GF11, [[1, 2, 3], [0, 0, 0]])
     assert solve_for_unit(m, 1) is None
+    assert not unit_in_span_bruteforce(codes_to_pairs(m), 1, 11, GF11.c1, GF11.c0)
 
 
 def test_solve_for_unit_remultiplies():
@@ -62,8 +87,9 @@ def test_solve_for_unit_remultiplies():
         m = Matrix(r, c, GF5, tuple(rng.randrange(25) for _ in range(r * c)))
         j = rng.randrange(r)
         h = solve_for_unit(m, j)
+        assert (h is not None) == unit_in_span_bruteforce(codes_to_pairs(m), j, 5, GF5.c1, GF5.c0)
         if h is not None:
-            assert m.mul_vec(h) == UnitVector(r, j).as_list()
+            assert m.mul_vec(h) == unit(r, j)
 
 
 def test_solve_for_unit_example_pattern(example_code):
@@ -73,7 +99,7 @@ def test_solve_for_unit_example_pattern(example_code):
     cols = [t for t in range(12) if t not in (0, 5)]
     h = solve_for_unit(g.take_cols(cols), example_code.params.k_v)
     assert h is not None
-    assert g.take_cols(cols).mul_vec(h) == UnitVector(g.rows, example_code.params.k_v).as_list()
+    assert g.take_cols(cols).mul_vec(h) == unit(g.rows, example_code.params.k_v)
 
 
 def test_is_mds_identity_and_zero_column():
@@ -124,12 +150,14 @@ def test_column_span_tracks_rank():
         r = rng.randint(1, 5)
         c = rng.randint(1, 8)
         m = Matrix(r, c, GF5, tuple(rng.randrange(25) for _ in range(r * c)))
+        pairs = codes_to_pairs(m)
         span = ColumnSpan(GF5, r)
         for j in range(c):
             span.add(m.col(j))
-        assert span.dimension == rank(m)
+        assert span.dimension == rank_bruteforce(pairs, GF5.q, GF5.c1, GF5.c0)
         for j in range(r):
-            assert span.contains_unit(j) == (solve_for_unit(m, j) is not None)
+            want = unit_in_span_bruteforce(pairs, j, GF5.q, GF5.c1, GF5.c0)
+            assert span.contains_unit(j) == want
 
 
 def test_matrix_dump_round_trip():

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from muxfec import codespec
 from muxfec.galois import field_spec
 from muxfec.linalg import is_mds
 from muxfec.muxcode import (
@@ -144,6 +146,9 @@ def test_build_deterministic(example_code):
     again = build_mux_code_cached()
     assert again.G == example_code.G
     assert again.field == example_code.field
+    # pinned spec bytes for (12,6,4,2) at seed 0
+    digest = hashlib.sha256(codespec.dumps(example_code).encode()).hexdigest()
+    assert digest == "a6941654653876bf6a2aa5eef7e96b43bcbba085a18321e3964d62baff73e1f4"
 
 
 def build_mux_code_cached():
