@@ -1,10 +1,11 @@
 """The (W, B, N) sliding-window erasure channel.
 
 Every window of W consecutive slots may lose either one burst of at most
-B consecutive packets or at most N packets at arbitrary positions.  Slots
-outside the modelled horizon count as unerased: a block codeword is a
-finite excerpt of the infinite packet stream, and unconstrained padding
-would forbid nothing.
+B consecutive packets or at most N packets at arbitrary positions; only
+windows that start at an erasure can break this rule.  Slots outside the
+modelled horizon count as unerased: a block codeword is a finite excerpt
+of the infinite packet stream, and unconstrained padding would forbid
+nothing.
 """
 
 from __future__ import annotations
@@ -75,9 +76,32 @@ def _windows_ok(erased: Sequence[int], starts: Iterable[int], ch: ChannelModel) 
     return True
 
 
+def _extend(erased: list[int], extra: Sequence[int], ch: ChannelModel) -> bool:
+    """Append extra to an admissible sorted list if it stays admissible.
+
+    extra is sorted and lies past erased[-1].  Only windows holding a new
+    erasure can change, and of those only the ones starting at an erasure
+    >= extra[0] - W + 1 need checking (see is_admissible).  On a reject
+    the list is rolled back and False returned.
+    """
+    erased.extend(extra)
+    if _windows_ok(erased, erased[bisect_left(erased, extra[0] - ch.W + 1) :], ch):
+        return True
+    del erased[-len(extra) :]
+    return False
+
+
 def is_admissible(p: ErasurePattern, ch: ChannelModel) -> bool:
-    """Window rule over every start offset whose window meets the horizon."""
-    return not p.erased or _windows_ok(p.erased, range(p.horizon), ch)
+    """Window rule over the windows that start at an erasure.
+
+    These are the only windows that need checking.  A window [i, i+W)
+    that breaks the rule holds an erasure; let e be its first.  [e, e+W)
+    keeps every erasure of [i, i+W), since they lie in [e, i+W), so the
+    count cannot fall.  The erasures it adds lie past i+W-1, beyond the
+    old ones, so a gap between the old ones cannot close.  So [e, e+W)
+    breaks the rule too.
+    """
+    return _windows_ok(p.erased, p.erased, ch)
 
 
 def enumerate_admissible_patterns(
@@ -97,15 +121,16 @@ def enumerate_admissible_patterns(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     out: list[ErasurePattern] = []
+    current: list[int] = []  # extended and popped in place
 
-    def visit(current: tuple[int, ...], start: int):
-        out.append(ErasurePattern(horizon, current))
+    def visit(start: int):
+        out.append(ErasurePattern(horizon, tuple(current)))
         for t in range(start, horizon):
-            cand = ErasurePattern(horizon, current + (t,))
-            if is_admissible(cand, ch):
-                visit(cand.erased, t + 1)
+            if _extend(current, (t,), ch):
+                visit(t + 1)
+                current.pop()
 
-    visit((), 0)
+    visit(0)
     if not maximal_only:
         return out
     by_size: dict[int, list[frozenset[int]]] = {}
@@ -147,28 +172,17 @@ def random_erasure_sequence(
         raise ValueError("length must be >= 1")
     rng = random.Random(seed)
     erased: list[int] = []  # grown in increasing order
-
-    def admits(extra: list[int]) -> bool:
-        # extra lies past every erasure so far, so erased stays sorted; only
-        # windows containing a new erasure can change, so check window
-        # starts in [first_new - W + 1, last_new], and roll back on a reject
-        erased.extend(extra)
-        if _windows_ok(erased, range(max(0, extra[0] - ch.W + 1), extra[-1] + 1), ch):
-            return True
-        del erased[-len(extra) :]
-        return False
-
     t = 0
     while t < length:
         roll = rng.random()
         if roll < burst_prob:
             blen = rng.randint(ch.N + 1, ch.B)
             burst = list(range(t, min(t + blen, length)))
-            if admits(burst):
+            if _extend(erased, burst, ch):
                 t += len(burst)
                 continue
         elif roll < burst_prob + erasure_prob:
-            admits([t])
+            _extend(erased, (t,), ch)
         t += 1
     return ErasurePattern(length, tuple(erased))
 
@@ -181,9 +195,13 @@ def write_trace(path, p: ErasurePattern):
 
 
 def read_trace(path) -> ErasurePattern:
+    """Parse a channel trace file; any token other than 0 or 1 is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        bits = [int(line.strip()) for line in fh if line.strip()]
-    return ErasurePattern(len(bits), tuple(t for t, b in enumerate(bits) if b))
+        bits = [line.strip() for line in fh if line.strip()]
+    bad = set(bits) - {"0", "1"}
+    if bad:
+        raise ValueError(f"trace tokens must be 0 or 1, got {sorted(bad)}")
+    return ErasurePattern(len(bits), tuple(t for t, b in enumerate(bits) if b == "1"))
 
 
 def pattern_count_closed_form(horizon: int, ch: ChannelModel) -> int:

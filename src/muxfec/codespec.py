@@ -57,6 +57,11 @@ def load(path: Union[str, Path]) -> MuxCode:
     """Rehydrate a MuxCode from a spec file (matrix taken as stored)."""
     d = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        # exactly int: a bool passes isinstance(e, int), a float breaks the field ops
+        ints = [d[k] for k in ("T_v", "T_u", "B", "N", "q")]
+        ints += [d[k] for k in ("W", "T_u_prime") if d.get(k) is not None]
+        if any(type(e) is not int for e in [*ints, *d["ext_poly"], *d["matrix"]]):
+            raise ValueError("malformed code spec: entries must be integers")
         params = params_from_dict(d)
         field = FieldSpec(d["q"], d["ext_poly"][0], d["ext_poly"][1])
         merged = Matrix(params.k_v + params.k_u, params.n, field, tuple(d["matrix"]))

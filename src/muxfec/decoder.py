@@ -88,6 +88,12 @@ class VerificationResult:
     counterexample: Optional[ErasurePattern]
     report: Optional[DecodeReport]  # report for the counterexample pattern
 
+    def failure_text(self) -> str:
+        """The counterexample and its first missed symbol, as one line."""
+        s = self.report.misses()[0]
+        return (f"achievability failed under pattern {list(self.counterexample.erased)}:"
+                f" {s.kind}[{s.index}] decode_time={s.decode_time} > deadline={s.deadline}")
+
     def to_dict(self) -> dict:
         d = {"passed": self.passed, "patterns_checked": self.patterns_checked}
         if self.counterexample is not None:

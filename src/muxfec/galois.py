@@ -107,10 +107,6 @@ class FieldSpec:
             return (a + b) % q
         return (a // q + b // q) % q * q + (a % q + b % q) % q
 
-    def neg(self, a: int) -> int:
-        q = self.q
-        return (-(a // q)) % q * q + (-(a % q)) % q
-
     def sub(self, a: int, b: int) -> int:
         q = self.q
         if a < q and b < q:

@@ -2,10 +2,12 @@
 
 Matrices store their entries as integer display codes (see galois) in a
 flat row-major tuple; all arithmetic goes through the FieldSpec code
-methods.  The one elimination is ColumnSpan, which grows a fully reduced
-column basis with first-nonzero pivoting: deterministic, and with no
-stability considerations in an exact field.  rank, is_mds and the
-decoder's unit-vector membership and value recovery all rest on it.
+methods.  The one encoding kernel is Matrix.add_row (acc += c . row i):
+vec_mul and the stream encoder both accumulate codewords with it.  The
+one elimination is ColumnSpan, which grows a fully reduced column basis
+with first-nonzero pivoting: deterministic, and with no stability
+considerations in an exact field.  rank, is_mds and the decoder's
+unit-vector membership and value recovery all rest on it.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ class Matrix:
     def col(self, j: int) -> list[int]:
         return [self.data[i * self.cols + j] for i in range(self.rows)]
 
-    def row_list(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
-
     def take_cols(self, cols: Iterable[int]) -> "Matrix":
         cols = list(cols)
         data = tuple(self.data[i * self.cols + j] for i in range(self.rows) for j in cols)
@@ -65,37 +64,22 @@ class Matrix:
         data = tuple(self.data[i * self.cols + j] for i in rows for j in cols)
         return Matrix(len(rows), len(cols), self.field, data)
 
+    def add_row(self, acc: list[int], i: int, c: int) -> None:
+        """acc += c . (row i), in place: the one encoding kernel."""
+        add, mul = self.field.add, self.field.mul
+        base = i * self.cols
+        for j, e in enumerate(self.data[base : base + self.cols]):
+            if e:
+                acc[j] = add(acc[j], mul(c, e))
+
     def vec_mul(self, vec: Sequence[int]) -> list[int]:
         """Row vector times matrix: vec . M, the encoding map."""
         if len(vec) != self.rows:
             raise ValueError("vector length must equal row count")
-        f = self.field
-        out = []
-        for j in range(self.cols):
-            acc = 0
-            for i, v in enumerate(vec):
-                if v:
-                    e = self.data[i * self.cols + j]
-                    if e:
-                        acc = f.add(acc, f.mul(v, e))
-            out.append(acc)
-        return out
-
-    def mul_vec(self, vec: Sequence[int]) -> list[int]:
-        """Matrix times column vector: M . vec."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length must equal column count")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = 0
-            for j, v in enumerate(vec):
-                if v:
-                    e = self.data[base + j]
-                    if e:
-                        acc = f.add(acc, f.mul(v, e))
-            out.append(acc)
+        out = [0] * self.cols
+        for i, v in enumerate(vec):
+            if v:
+                self.add_row(out, i, v)
         return out
 
     def to_dump(self) -> dict:

@@ -205,12 +205,7 @@ def build_mux_code(params: MuxParams, seed: int = 0, max_tries: int = 64) -> Mux
             continue
         result = verify_matrix(merged, deadlines, ch)
         if not result.passed:
-            miss = result.report.misses()[0]
-            last_failure = (
-                f"achievability failed under pattern {list(result.counterexample.erased)}:"
-                f" {miss.kind}[{miss.index}] decode_time={miss.decode_time}"
-                f" > deadline={miss.deadline}"
-            )
+            last_failure = result.failure_text()
             continue
         return code
     raise RuntimeError(

@@ -215,11 +215,7 @@ def build_single_code(
         if verify:
             result = verify_matrix(g, deadlines, ch)
             if not result.passed:
-                miss = result.report.misses()[0]
-                last_failure = (
-                    f"achievability failed under pattern {list(result.counterexample.erased)}:"
-                    f" s[{miss.index}] decode_time={miss.decode_time} > deadline={miss.deadline}"
-                )
+                last_failure = result.failure_text()
                 continue
         return code
     raise RuntimeError(

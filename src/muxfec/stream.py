@@ -6,7 +6,9 @@ slot d+j.  Message symbols feed the diagonals at their first codeword
 appearance (v-lane i of the message arriving at slot d+i becomes block
 coordinate v[i] of diagonal d; u-lane i arriving at slot d+h+i becomes
 u[i]), so encoding stays causal and every block deadline min(g+T, n-1)
-lands exactly g+T slots after the symbol arrived.
+lands exactly g+T slots after the symbol arrived.  The encoder keeps the
+partial codeword of each live diagonal and adds a symbol's row of G to it
+when the symbol arrives.
 
 During warm-up only diagonals starting at slot 0 or later transmit, so
 the first n-1 packets are partially filled with zeros and message
@@ -68,11 +70,20 @@ class StreamReport:
 
 @dataclass
 class StreamState:
-    """Encoder state: the last n partially-emitted diagonal codewords."""
+    """Encoder state: the partial codewords of the last n diagonals.
+
+    Each arriving message symbol adds its row of G, scaled by the symbol,
+    to the codeword of its diagonal (Matrix.add_row), and the packet of
+    slot t reads lane j from diagonal t-j.  Lane j of a diagonal is sent
+    j slots after the diagonal starts, so it holds every symbol that has
+    arrived by then.  G is causal (row r is zero before its symbol's
+    arrival slot), so that is every symbol with a nonzero entry in lane j,
+    and a complete diagonal sends exactly its block encoding.
+    """
 
     code: MuxCode
     clock: int = 0
-    diagonals: dict[int, list[int]] = field(default_factory=dict)  # start slot -> message so far
+    diagonals: dict[int, list[int]] = field(default_factory=dict)  # start slot -> codeword so far
 
     def push(self, v_t: Sequence[int], u_t: Sequence[int]) -> list[int]:
         """Consume one slot's message symbols and emit one packet."""
@@ -80,32 +91,16 @@ class StreamState:
         if len(v_t) != p.k_v or len(u_t) != p.k_u:
             raise ValueError("message lanes must be (k_v, k_u) wide")
         t = self.clock
-        self.diagonals[t] = [0] * (p.k_v + p.k_u)
-        for i, sym in enumerate(v_t):
-            d = t - i
-            if d in self.diagonals:
-                self.diagonals[d][i] = sym % self.code.field.order
-        for i, sym in enumerate(u_t):
-            d = t - p.h - i
-            if d in self.diagonals:
-                self.diagonals[d][p.k_v + i] = sym % self.code.field.order
-        g = self.code.G
-        packet = []
-        for j in range(p.n):
-            d = t - j
-            if d in self.diagonals:
-                msg = self.diagonals[d]
-                f = self.code.field
-                acc = 0
-                for r, m in enumerate(msg):
-                    if m:
-                        e = g.entry(r, j)
-                        if e:
-                            acc = f.add(acc, f.mul(m, e))
-                packet.append(acc)
-            else:
-                packet.append(0)
-        self.diagonals.pop(t - p.n + 1, None)
+        g, order, diagonals = self.code.G, self.code.field.order, self.diagonals
+        diagonals[t] = [0] * p.n
+        # v-lane i feeds row i of diagonal t-i, u-lane i row k_v+i of diagonal t-h-i
+        lanes = [(t - i, i, sym % order) for i, sym in enumerate(v_t)]
+        lanes += [(t - p.h - i, p.k_v + i, sym % order) for i, sym in enumerate(u_t)]
+        for d, row, c in lanes:
+            if c and d in diagonals:
+                g.add_row(diagonals[d], row, c)
+        packet = [diagonals[t - j][j] if j <= t else 0 for j in range(p.n)]
+        diagonals.pop(t - p.n + 1, None)
         self.clock += 1
         return packet
 
@@ -123,9 +118,10 @@ def simulate_stream(
 ) -> StreamReport:
     """Check every due symbol of every complete diagonal against its deadline.
 
-    Decodability is a property of the induced intra-block pattern alone,
-    so diagonals are screened by restricting the erasure sequence to
-    their n slots; distinct patterns are decoded once and cached.
+    Decodability is a property of the induced intra-block pattern alone.
+    Each diagonal's pattern is read off the sorted erasure tuple as a key
+    (two pointers bound the erasures inside its n slots); a key not seen
+    before is decoded once, and its misses are cached.
     """
     p = code.params
     if horizon is None:
@@ -136,20 +132,21 @@ def simulate_stream(
     if not is_admissible(erasures, ch):
         raise ValueError(f"erasure sequence not admissible for (W={ch.W}, B={ch.B}, N={ch.N})")
     deadlines = code.symbol_deadlines()
-    cache: dict[tuple[int, ...], tuple] = {}
+    erased, n = erasures.erased, p.n
+    cache: dict[tuple[int, ...], list] = {}  # induced pattern -> its missed symbols
     violations: list[StreamViolation] = []
-    checked = 0
-    for d in range(0, horizon - p.n + 1):
-        local = erasures.restrict(d, p.n)
-        checked += 1
-        key = local.erased
-        report = cache.get(key)
-        if report is None:
-            report = check_pattern(code.G, local, deadlines)
-            cache[key] = report
-        if report.passed:
-            continue
-        for miss in report.misses():
+    diagonals = range(0, horizon - n + 1)
+    lo = hi = 0  # erased[lo:hi] are the erasures in the slots [d, d+n)
+    for d in diagonals:
+        while lo < hi and erased[lo] < d:
+            lo += 1
+        while hi < len(erased) and erased[hi] < d + n:
+            hi += 1
+        key = tuple(t - d for t in erased[lo:hi])
+        misses = cache.get(key)
+        if misses is None:
+            misses = cache[key] = check_pattern(code.G, ErasurePattern(n, key), deadlines).misses()
+        for miss in misses:
             violations.append(
                 StreamViolation(
                     slot=d + miss.deadline,
@@ -160,5 +157,5 @@ def simulate_stream(
                     pattern_excerpt=key,
                 )
             )
-    erased_in_horizon = sum(1 for t in erasures.erased if t < horizon)
-    return StreamReport(horizon, checked, erased_in_horizon, tuple(violations))
+    erased_in_horizon = sum(1 for t in erased if t < horizon)
+    return StreamReport(horizon, len(diagonals), erased_in_horizon, tuple(violations))

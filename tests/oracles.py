@@ -123,10 +123,25 @@ def rsel_all(n):
     return list(range(n))
 
 
+def code_pairs(codes, q):
+    """Display codes -> (lo, hi) pairs, through the display-code contract only."""
+    return [(e % q, e // q) for e in codes]
+
+
 def codes_to_pairs(matrix):
-    """Library Matrix -> (lo, hi) pair rows, through the display-code contract only."""
-    qq = matrix.field.q
-    return [[(e % qq, e // qq) for e in matrix.row(i)] for i in range(matrix.rows)]
+    """Library Matrix -> (lo, hi) pair rows."""
+    return [code_pairs(matrix.row(i), matrix.field.q) for i in range(matrix.rows)]
+
+
+def mat_vec(rows, vec, q, c1, c0):
+    """Matrix times column vector, longhand over (lo, hi) pairs."""
+    out = []
+    for row in rows:
+        acc = (0, 0)
+        for e, v in zip(row, vec):
+            acc = o_add(acc, o_mul(e, v, q, c1, c0), q)
+        out.append(acc)
+    return out
 
 
 # -- decoding oracle -------------------------------------------------------

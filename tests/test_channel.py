@@ -51,14 +51,18 @@ def test_scattered_above_n_inadmissible():
     assert is_admissible(ErasurePattern(10, (0, 3)), ch) is True
 
 
+CHANNELS = [(6, 3, 1), (4, 2, 1), (5, 4, 2), (9, 4, 3), (13, 4, 2)]  # (W, B, N)
+
+
 def test_admissibility_matches_bruteforce():
     rng = random.Random(5)
-    ch = ChannelModel(6, 3, 1)
-    for _ in range(2000):
-        horizon = rng.randint(1, 10)
-        erased = tuple(sorted(rng.sample(range(horizon), rng.randint(0, min(4, horizon)))))
-        p = ErasurePattern(horizon, erased)
-        assert is_admissible(p, ch) == admissible_bruteforce(horizon, 6, 3, 1, erased)
+    for W, B, N in CHANNELS:
+        ch = ChannelModel(W, B, N)
+        for _ in range(2000):
+            horizon = rng.randint(1, 16)  # W < horizon for most draws
+            erased = tuple(sorted(rng.sample(range(horizon), rng.randint(0, min(6, horizon)))))
+            p = ErasurePattern(horizon, erased)
+            assert is_admissible(p, ch) == admissible_bruteforce(horizon, W, B, N, erased)
 
 
 def test_enumerate_horizon3_exact():
@@ -69,15 +73,14 @@ def test_enumerate_horizon3_exact():
 def test_enumerate_matches_subset_filter():
     from itertools import combinations
 
-    ch = ChannelModel(5, 3, 1)
-    horizon = 7
-    expect = []
-    for k in range(horizon + 1):
-        for sel in combinations(range(horizon), k):
-            if admissible_bruteforce(horizon, 5, 3, 1, sel):
-                expect.append(sel)
-    got = [p.erased for p in enumerate_admissible_patterns(horizon, ch)]
-    assert sorted(got) == sorted(expect)
+    for (W, B, N), horizon in [((5, 3, 1), 7), *((ch, 9) for ch in CHANNELS)]:
+        expect = []
+        for k in range(horizon + 1):
+            for sel in combinations(range(horizon), k):
+                if admissible_bruteforce(horizon, W, B, N, sel):
+                    expect.append(sel)
+        got = [p.erased for p in enumerate_admissible_patterns(horizon, ChannelModel(W, B, N))]
+        assert got == sorted(expect)  # lexicographic order, as documented
 
 
 def test_enumerate_closed_form_count():
@@ -200,6 +203,14 @@ def test_trace_round_trip(tmp_path):
     write_trace(path, p)
     assert path.read_text() == "0\n1\n0\n0\n1\n0\n"
     assert read_trace(path) == p
+
+
+@pytest.mark.parametrize("token", ["2", "-1", "x", "1.0"])
+def test_read_trace_rejects_other_tokens(tmp_path, token):
+    path = tmp_path / "trace.txt"
+    path.write_text(f"0\n1\n{token}\n0\n")
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        read_trace(path)
 
 
 def test_restrict_reindexes():

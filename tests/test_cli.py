@@ -105,6 +105,29 @@ def test_verify_malformed_spec(capsys, tmp_path):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("key,index,value", [
+    ("matrix", 0, 1.0),
+    ("matrix", 5, True),
+    ("matrix", 7, "3"),
+    ("ext_poly", 1, 2.0),
+    ("W", None, 13.0),
+    ("T_u", None, 6.0),
+])
+def test_spec_entries_must_be_int(capsys, spec_file, tmp_path, key, index, value):
+    d = json.loads(spec_file.read_text())
+    if index is None:
+        d[key] = value
+    else:
+        d[key][index] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="must be integers"):
+        codespec.load(bad)
+    rc, out, err = run_cli(capsys, "verify", str(bad), "--jobs", "1")
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_verify_report_file(capsys, spec_file, tmp_path):
     report = tmp_path / "report.json"
     rc, out, _ = run_cli(capsys, "verify", str(spec_file), "--report", str(report), "--jobs", "1")

@@ -174,6 +174,9 @@ def test_verify_tightened_deadline_fails_with_burst_counterexample(example_code)
     assert result.counterexample.erased == (0, 1, 2, 3)
     miss = result.report.misses()[0]
     assert (miss.kind, miss.index) == ("u", 0)
+    assert result.failure_text() == (
+        "achievability failed under pattern [0, 1, 2, 3]: u[0] decode_time=11 > deadline=10"
+    )
 
 
 def test_verify_single_code_against_block_deadlines(single_code):

@@ -6,9 +6,11 @@ from muxfec.galois import field_spec
 from muxfec.linalg import ColumnSpan, Matrix, is_mds, rank
 
 from oracles import (
+    code_pairs,
     codes_to_pairs,
     det_bruteforce,
     is_mds_bruteforce,
+    mat_vec,
     rank_bruteforce,
     unit_in_span_bruteforce,
 )
@@ -25,6 +27,13 @@ def vandermonde(field, rows, nodes):
 
 def unit(dim, j):
     return [1 if i == j else 0 for i in range(dim)]
+
+
+def times_vector(m, h):
+    """M.h by the pair-arithmetic oracle, as display codes."""
+    f = m.field
+    out = mat_vec(codes_to_pairs(m), code_pairs(h, f.q), f.q, f.c1, f.c0)
+    return [f.code(lo, hi) for lo, hi in out]
 
 
 def solve_for_unit(m, j):
@@ -89,7 +98,7 @@ def test_solve_for_unit_remultiplies():
         h = solve_for_unit(m, j)
         assert (h is not None) == unit_in_span_bruteforce(codes_to_pairs(m), j, 5, GF5.c1, GF5.c0)
         if h is not None:
-            assert m.mul_vec(h) == unit(r, j)
+            assert times_vector(m, h) == unit(r, j)
 
 
 def test_solve_for_unit_example_pattern(example_code):
@@ -99,7 +108,7 @@ def test_solve_for_unit_example_pattern(example_code):
     cols = [t for t in range(12) if t not in (0, 5)]
     h = solve_for_unit(g.take_cols(cols), example_code.params.k_v)
     assert h is not None
-    assert g.take_cols(cols).mul_vec(h) == unit(g.rows, example_code.params.k_v)
+    assert times_vector(g.take_cols(cols), h) == unit(g.rows, example_code.params.k_v)
 
 
 def test_is_mds_identity_and_zero_column():

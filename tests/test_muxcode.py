@@ -165,7 +165,7 @@ def test_assemble_layout():
     g2 = Matrix.from_rows(f, [[5, 6, 7]])
     merged = assemble_merged_matrix(g1, g2, 2)
     # h = 4 - 2 = 2; n = 2 + 3 = 5
-    assert merged.row_list() == [[1, 2, 3, 4, 0], [0, 0, 5, 6, 7]]
+    assert [merged.row(i) for i in range(merged.rows)] == [[1, 2, 3, 4, 0], [0, 0, 5, 6, 7]]
     with pytest.raises(ValueError):
         assemble_merged_matrix(g1, Matrix.from_rows(field_spec(7), [[1, 2, 3]]), 1)
 

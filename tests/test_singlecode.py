@@ -76,7 +76,7 @@ def test_g1_sub_is_mds_bruteforce(code_956):
 
 def test_zeroed_column_fails_g1_flag(code_956):
     g = code_956.G
-    rows = g.row_list()
+    rows = [g.row(i) for i in range(g.rows)]
     for i in range(g.rows):
         rows[i][2] = 0  # a column inside the upper-left MDS block
     broken = BlockCode(

@@ -1,10 +1,18 @@
+import dataclasses
 import random
 
 import pytest
 
 from muxfec.channel import ErasurePattern, is_admissible, random_erasure_sequence
-from muxfec.decoder import verify_achievable
-from muxfec.stream import StreamState, simulate_stream, stream_encode
+from muxfec.decoder import check_pattern, verify_achievable
+from muxfec.linalg import Matrix
+from muxfec.stream import (
+    StreamReport,
+    StreamState,
+    StreamViolation,
+    simulate_stream,
+    stream_encode,
+)
 
 
 def zero_messages(code, slots):
@@ -37,26 +45,27 @@ def test_single_nonzero_message_traces_one_diagonal(example_code):
     assert nonzero == expect
 
 
-def test_packet_values_match_block_encoding(example_code):
-    """In steady state, each diagonal carries the block encoding of the
-    message symbols it collected across slots."""
-    p = example_code.params
-    rng = random.Random(5)
-    slots = p.n * 3
-    msgs = [
-        (
-            [rng.randrange(example_code.field.q) for _ in range(p.k_v)],
-            [rng.randrange(example_code.field.q) for _ in range(p.k_u)],
-        )
-        for _ in range(slots)
-    ]
-    packets = stream_encode(msgs, example_code)
-    d = p.n  # a diagonal fully inside the horizon
-    block_msg = [msgs[d + i][0][i] for i in range(p.k_v)]
-    block_msg += [msgs[d + p.h + i][1][i] for i in range(p.k_u)]
-    word = example_code.G.vec_mul(block_msg)
-    got = [packets[d + j][j] for j in range(p.n)]
-    assert got == word
+def test_packet_values_match_block_encoding(example_code, random_dominant_code):
+    """Each complete diagonal carries the block encoding of the message
+    symbols it collected across slots."""
+    for code in (example_code, random_dominant_code):
+        p = code.params
+        rng = random.Random(5)
+        slots = p.n * 3
+        msgs = [
+            (
+                [rng.randrange(code.field.order) for _ in range(p.k_v)],
+                [rng.randrange(code.field.order) for _ in range(p.k_u)],
+            )
+            for _ in range(slots)
+        ]
+        packets = stream_encode(msgs, code)
+        for d in range(slots - p.n + 1):  # every diagonal fully inside the horizon
+            block_msg = [msgs[d + i][0][i] for i in range(p.k_v)]
+            block_msg += [msgs[d + p.h + i][1][i] for i in range(p.k_u)]
+            word = code.G.vec_mul(block_msg)
+            got = [packets[d + j][j] for j in range(p.n)]
+            assert got == word, f"diagonal {d}"
 
 
 def test_rate_accounting(example_code):
@@ -115,6 +124,43 @@ def test_block_pass_implies_stream_pass(random_dominant_code):
     ch = random_dominant_code.verification_channel()
     seq = random_erasure_sequence(1500, ch, seed=21)
     assert simulate_stream(random_dominant_code, seq).passed
+
+
+def simulate_reference(code, erasures):
+    """simulate_stream spelled out: restrict and decode every diagonal."""
+    n = code.params.n
+    deadlines = code.symbol_deadlines()
+    violations = []
+    for d in range(erasures.horizon - n + 1):
+        local = erasures.restrict(d, n)
+        for miss in check_pattern(code.G, local, deadlines).misses():
+            decode_slot = None if miss.decode_time is None else d + miss.decode_time
+            violations.append(
+                StreamViolation(d + miss.deadline, d, miss.kind, miss.index, decode_slot, local.erased)
+            )
+    diagonals = max(0, erasures.horizon - n + 1)
+    return StreamReport(erasures.horizon, diagonals, len(erasures.erased), tuple(violations))
+
+
+def test_simulate_matches_per_diagonal_reference(example_code, random_dominant_code):
+    """The cached, pointer-based screen equals decoding every restricted
+    diagonal, also on codes that miss deadlines."""
+    for code in (example_code, random_dominant_code):
+        p = code.params
+        ch = code.verification_channel()
+        rows = [code.G.row(i) for i in range(code.G.rows)]
+        for row in rows:
+            row[p.n - 3] = 0  # a zeroed column delays whatever it carried
+        zeroed = dataclasses.replace(code, G=Matrix.from_rows(code.field, rows))
+        tight = dataclasses.replace(code, params=dataclasses.replace(p, T_u=p.T_u - 2))
+        for variant in (code, zeroed, tight):
+            for seed in range(3):
+                seq = random_erasure_sequence(400, ch, seed=seed, erasure_prob=0.1)
+                assert simulate_stream(variant, seq) == simulate_reference(variant, seq)
+        # the variants do miss deadlines, so violations are compared too
+        seq = random_erasure_sequence(400, ch, seed=0, erasure_prob=0.1)
+        assert simulate_stream(zeroed, seq).violations
+        assert simulate_stream(tight, seq).violations
 
 
 def test_inadmissible_sequence_rejected(example_code):
