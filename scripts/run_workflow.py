@@ -33,7 +33,7 @@ def main():
 
     result = verify_achievable(code)
     print(f"achievability: {'pass' if result.passed else 'FAIL'} "
-          f"over {result.patterns_checked} maximal patterns (W={params.W})")
+          f"over {result.patterns_checked} admissible patterns (W={params.W})")
 
     # decode a message through the worst burst
     v, u = [3, 1, 4, 1, 5], [9, 2, 6, 5, 3]

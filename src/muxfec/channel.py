@@ -104,19 +104,14 @@ def is_admissible(p: ErasurePattern, ch: ChannelModel) -> bool:
     return _windows_ok(p.erased, p.erased, ch)
 
 
-def enumerate_admissible_patterns(
-    horizon: int, ch: ChannelModel, maximal_only: bool = False
-) -> list[ErasurePattern]:
+def enumerate_admissible_patterns(horizon: int, ch: ChannelModel) -> list[ErasurePattern]:
     """All admissible patterns on [0, horizon), in lexicographic order.
 
     Depth-first search adding indices in increasing order is exhaustive
     because dropping the largest erasure of an admissible pattern keeps it
     admissible (window counts only fall, and a burst shortened from the
-    right stays consecutive).  With maximal_only, only patterns contained
-    in no other admissible pattern are emitted; note that adding a single
-    erasure to an admissible pattern may pass through inadmissible sets
-    (a burst grows from a pair only via its scattered intermediates), so
-    maximality is checked against the whole enumeration, not stepwise.
+    right stays consecutive).  The verifier walks the same tree without
+    listing it; this list is the reference its tests compare against.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -131,20 +126,7 @@ def enumerate_admissible_patterns(
                 current.pop()
 
     visit(0)
-    if not maximal_only:
-        return out
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for p in out:
-        by_size.setdefault(len(p.erased), []).append(frozenset(p.erased))
-    maximal = []
-    for p in out:
-        s = frozenset(p.erased)
-        dominated = any(
-            s < t for size, group in by_size.items() if size > len(s) for t in group
-        )
-        if not dominated:
-            maximal.append(p)
-    return maximal
+    return out
 
 
 def apply_erasure(codeword: Sequence, p: ErasurePattern) -> list:

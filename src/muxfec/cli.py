@@ -15,7 +15,7 @@ import sys
 from . import __version__, codespec
 from .analysis import gain_table, rate_report
 from .channel import random_erasure_sequence, write_trace
-from .decoder import default_jobs, verify_achievable
+from .decoder import verify_achievable
 from .muxcode import build_mux_code, select_parameters
 from .stream import simulate_stream
 
@@ -99,7 +99,7 @@ def cmd_verify(args) -> int:
         if args.w <= code.params.B:
             raise UsageError(f"--w must exceed B={code.params.B}")
         ch = type(ch)(args.w, ch.B, ch.N)
-    result = verify_achievable(code, ch, jobs=args.jobs)
+    result = verify_achievable(code, ch)
     payload = result.to_dict()
     payload["W"] = ch.W
     text = json.dumps(payload, indent=1)
@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("spec")
     v.add_argument("--w", type=int, default=None, help="window length (default T_v+1)")
     v.add_argument("--report", default=None, help="write the JSON report here too")
-    v.add_argument("--jobs", type=int, default=default_jobs())
+    # accepted and ignored: verification is one serial walk, and scripts still pass it
+    v.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("rates", help="gain table versus separate encoding")

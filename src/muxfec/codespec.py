@@ -58,7 +58,9 @@ def load(path: Union[str, Path]) -> MuxCode:
     d = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         # exactly int: a bool passes isinstance(e, int), a float breaks the field ops
-        ints = [d[k] for k in ("T_v", "T_u", "B", "N", "q")]
+        seed = d["seed"]
+        g1_seed, g2_seed = d.get("g1_seed", seed), d.get("g2_seed", seed)
+        ints = [d[k] for k in ("T_v", "T_u", "B", "N", "q")] + [seed, g1_seed, g2_seed]
         ints += [d[k] for k in ("W", "T_u_prime") if d.get(k) is not None]
         if any(type(e) is not int for e in [*ints, *d["ext_poly"], *d["matrix"]]):
             raise ValueError("malformed code spec: entries must be integers")
@@ -68,15 +70,15 @@ def load(path: Union[str, Path]) -> MuxCode:
         g1 = _constituent(
             merged, field, params.T_v_prime, params, rows=range(params.k_v),
             cols=range(params.k_v + params.B), variant="base-field-special",
-            seed=d.get("g1_seed", d["seed"]),
+            seed=g1_seed,
         )
         g2 = _constituent(
             merged, field, params.T_u_prime, params,
             rows=range(params.k_v, params.k_v + params.k_u),
             cols=range(params.h, params.n), variant="extension-special",
-            seed=d.get("g2_seed", d["seed"]),
+            seed=g2_seed,
         )
-        return MuxCode(params, merged, g1, g2, field, d["seed"])
+        return MuxCode(params, merged, g1, g2, field, seed)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed code spec: {exc}") from exc
 

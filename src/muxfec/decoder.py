@@ -9,19 +9,18 @@ decode_message all read it.  decode_message extends each column by its
 received symbol, so the sweep also yields the decoded values.
 
 The verifier realises the achievability quantifier "for every admissible
-erasure sequence": it walks all maximal admissible patterns (decoding can
-only get easier when an erasure is removed, so maximal patterns dominate)
-and asserts every symbol's earliest decode time meets its deadline.
+erasure sequence" directly: one depth-first walk of the admissible-pattern
+tree decodes as it goes, so a pattern shares the sweep of its parent up to
+its last erasure, and every admissible pattern's decode times are checked
+against the deadlines.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .channel import ERASURE_MARK, ChannelModel, ErasurePattern, enumerate_admissible_patterns
+from .channel import ERASURE_MARK, ChannelModel, ErasurePattern, _extend
 from .linalg import ColumnSpan, Matrix
 
 
@@ -84,7 +83,7 @@ class DecodeReport:
 @dataclass(frozen=True)
 class VerificationResult:
     passed: bool
-    patterns_checked: int
+    patterns_checked: int  # up to and including the counterexample, if any
     counterexample: Optional[ErasurePattern]
     report: Optional[DecodeReport]  # report for the counterexample pattern
 
@@ -133,14 +132,31 @@ def _decode_times(
     times: list[Optional[int]] = [None] * span.dim
     pending = set(range(span.dim))
     for t, col in enumerate(columns):
-        if t in p or not span.add(col):
-            continue
-        for j in [j for j in pending if span.contains_unit(j)]:
-            times[j] = t
-            pending.discard(j)
+        if t not in p:
+            _add_column(span, col, t, times, pending)
         if not pending:
             break
     return times
+
+
+def _add_column(
+    span: ColumnSpan, col: list[int], t: int, times: list[Optional[int]], pending: set[int]
+) -> None:
+    """The sweep step: add the column of slot t, stamp the coordinates it decodes."""
+    if span.add(col):
+        for j in [j for j in pending if span.contains_unit(j)]:
+            times[j] = t
+            pending.discard(j)
+
+
+def _report(times: Sequence[Optional[int]], symbols: Sequence[SymbolDeadline]) -> DecodeReport:
+    """Decode times checked against the symbols' deadlines."""
+    results = []
+    for s in symbols:
+        t = times[s.row]
+        met = t is not None and t <= s.deadline
+        results.append(SymbolResult(s.kind, s.index, s.gen_time, s.deadline, t, met))
+    return DecodeReport(tuple(results))
 
 
 def earliest_decode_time(g: Matrix, p: ErasurePattern, j: int) -> Optional[int]:
@@ -155,12 +171,7 @@ def check_pattern(
 ) -> DecodeReport:
     """Decode times of all symbols under one pattern, checked against deadlines."""
     times = _decode_times(ColumnSpan(g.field, g.rows), map(g.col, range(g.cols)), p)
-    results = []
-    for s in symbols:
-        t = times[s.row]
-        met = t is not None and t <= s.deadline
-        results.append(SymbolResult(s.kind, s.index, s.gen_time, s.deadline, t, met))
-    return DecodeReport(tuple(results))
+    return _report(times, symbols)
 
 
 def decode_message(
@@ -196,55 +207,49 @@ def decode_message(
 
 
 def verify_matrix(
-    g: Matrix,
-    symbols: Sequence[SymbolDeadline],
-    ch: ChannelModel,
-    jobs: int = 1,
+    g: Matrix, symbols: Sequence[SymbolDeadline], ch: ChannelModel
 ) -> VerificationResult:
-    """Check every maximal admissible pattern on [0, cols); first failure wins.
+    """Check every admissible pattern on [0, cols); the first failure wins.
 
-    Patterns are enumerated in deterministic lexicographic order, and the
-    reported counterexample is the first in that order regardless of the
-    worker count.
+    A node of the walk is a pattern e1 < ... < ek holding the sweep state
+    at slot ek.  For each later slot t in order, it first walks the child
+    that also erases t, if channel._extend admits it, from a copy of the
+    state, then adds column t itself.  At the last slot its decode times
+    are complete and are checked.  So every admissible pattern is checked
+    once, the counterexample is the first failing pattern in walk order
+    (children before their parent, in increasing order of the added slot),
+    and patterns_checked counts the patterns checked up to and including
+    it.
     """
-    patterns = enumerate_admissible_patterns(g.cols, ch, maximal_only=True)
-    if jobs > 1 and len(patterns) > 1:
-        failures: list[tuple[int, DecodeReport]] = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(patterns) // (jobs * 4))
-            futures = {}
-            for start in range(0, len(patterns), chunk):
-                batch = patterns[start : start + chunk]
-                futures[pool.submit(_check_batch, g, batch, tuple(symbols))] = start
-            for fut, start in futures.items():
-                for offset, report in fut.result():
-                    failures.append((start + offset, report))
-        if failures:
-            idx, report = min(failures, key=lambda x: x[0])
-            return VerificationResult(False, len(patterns), patterns[idx], report)
-        return VerificationResult(True, len(patterns), None, None)
-    for p in patterns:
-        report = check_pattern(g, p, symbols)
-        if not report.passed:
-            return VerificationResult(False, len(patterns), p, report)
-    return VerificationResult(True, len(patterns), None, None)
+    n = g.cols
+    cols = [g.col(t) for t in range(n)]
+    due = [(s.row, s.deadline) for s in symbols]
+    erased: list[int] = []  # the current node's pattern, extended and popped in place
+    checked = 0
+
+    def walk(span: ColumnSpan, times: list, pending: set, start: int):
+        nonlocal checked
+        for t in range(start, n):
+            if _extend(erased, (t,), ch):
+                miss = walk(span.copy(), times[:], set(pending), t + 1)
+                erased.pop()
+                if miss:
+                    return miss
+            if pending:
+                _add_column(span, cols[t], t, times, pending)
+        checked += 1
+        if any(times[row] is None or times[row] > deadline for row, deadline in due):
+            return ErasurePattern(n, tuple(erased)), _report(times, symbols)
+        return None
+
+    miss = walk(ColumnSpan(g.field, g.rows), [None] * g.rows, set(range(g.rows)), 0)
+    if miss:
+        return VerificationResult(False, checked, *miss)
+    return VerificationResult(True, checked, None, None)
 
 
-def _check_batch(g, patterns, symbols):
-    out = []
-    for i, p in enumerate(patterns):
-        report = check_pattern(g, p, symbols)
-        if not report.passed:
-            out.append((i, report))
-    return out
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
-def verify_achievable(code, ch: Optional[ChannelModel] = None, jobs: int = 1) -> VerificationResult:
+def verify_achievable(code, ch: Optional[ChannelModel] = None) -> VerificationResult:
     """Exhaustive achievability check of a built BlockCode or MuxCode."""
     if ch is None:
         ch = code.verification_channel()
-    return verify_matrix(code.G, code.symbol_deadlines(), ch, jobs=jobs)
+    return verify_matrix(code.G, code.symbol_deadlines(), ch)

@@ -147,6 +147,13 @@ class ColumnSpan:
     def dimension(self) -> int:
         return len(self.basis)
 
+    def copy(self) -> "ColumnSpan":
+        """An independent span.  add rebinds basis columns and never
+        mutates one in place, so a shallow copy of the basis suffices."""
+        other = ColumnSpan(self.field, self.dim)
+        other.basis = dict(self.basis)
+        return other
+
     def add(self, col: Sequence[int]) -> bool:
         """Append a column; True if it enlarged the span."""
         f = self.field
@@ -162,6 +169,7 @@ class ColumnSpan:
         pinv = f.inv(r[p])
         r = [mul(pinv, x) for x in r]
         basis = self.basis
+        # rebind, never mutate, a basis column: copy() shares them
         for q, b in basis.items():
             c = b[p]
             if c:

@@ -59,14 +59,12 @@ def test_criterion_1_example_reproduction():
 
 def test_criterion_2_exhaustive_achievability(example_code):
     t0 = time.time()
-    result = verify_matrix(
-        example_code.G, example_code.symbol_deadlines(), ChannelModel(13, 4, 2), jobs=1
-    )
+    result = verify_matrix(example_code.G, example_code.symbol_deadlines(), ChannelModel(13, 4, 2))
     elapsed = time.time() - t0
     assert result.passed
     assert result.counterexample is None
     assert elapsed < 10.0
-    report(2, f"(12,6,4,2) achievable for W=13: {result.patterns_checked} maximal patterns, zero misses", elapsed)
+    report(2, f"(12,6,4,2) achievable for W=13: {result.patterns_checked} admissible patterns, zero misses", elapsed)
 
 
 def test_criterion_3_random_dominant_regime():
@@ -75,7 +73,7 @@ def test_criterion_3_random_dominant_regime():
     code = build_mux_code(params, seed=SEED)
     assert params.n == 13
     assert code.sum_rate == Fraction(9, 13)
-    result = verify_matrix(code.G, code.symbol_deadlines(), code.verification_channel(), jobs=1)
+    result = verify_matrix(code.G, code.symbol_deadlines(), code.verification_channel())
     elapsed = time.time() - t0
     assert result.passed
     assert elapsed < 10.0
@@ -169,7 +167,7 @@ def _overreach_fails(T_v, T_u, B, N, seed):
     h = k_v + B - B
     n = k_v + legal.k_u + B
     deadlines = mux_deadlines(k_v, legal.k_u, h, n, T_v, T_u)
-    result = verify_matrix(merged, deadlines, ChannelModel(T_v + 1, B, N), jobs=1)
+    result = verify_matrix(merged, deadlines, ChannelModel(T_v + 1, B, N))
     return None if result.passed else result
 
 
@@ -198,7 +196,7 @@ def test_criterion_8_converse_falsification():
     merged = assemble_merged_matrix(code.g1.G, code.g2.G, m)
     h = 5 + 4 - m
     deadlines = mux_deadlines(5, 5, h, merged.cols, 12, 6)
-    result = verify_matrix(merged, deadlines, ChannelModel(13, 4, 2), jobs=1)
+    result = verify_matrix(merged, deadlines, ChannelModel(13, 4, 2))
     assert not result.passed
     cases.append((("m=B+1", 12, 6, 4, 2), list(result.counterexample.erased)))
     elapsed = time.time() - t0

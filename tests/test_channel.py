@@ -90,31 +90,6 @@ def test_enumerate_closed_form_count():
         assert len(got) == pattern_count_closed_form(horizon, ch)
 
 
-def test_maximal_patterns_oracle_small():
-    ch = ChannelModel(9, 4, 2)
-    horizon = 8
-    full = [set(p.erased) for p in enumerate_admissible_patterns(horizon, ch)]
-    maximal = [set(p.erased) for p in enumerate_admissible_patterns(horizon, ch, maximal_only=True)]
-    # oracle: maximal = admissible with no admissible strict superset
-    expect = [s for s in full if not any(s < t for t in full)]
-    assert sorted(map(sorted, maximal)) == sorted(map(sorted, expect))
-    # with W >= horizon: length-B bursts, or N-subsets spanning more than B
-    for s in maximal:
-        ordered = sorted(s)
-        is_burst = len(s) == 4 and ordered[-1] - ordered[0] == 3
-        is_wide_pair = len(s) == 2 and ordered[-1] - ordered[0] >= 4
-        assert is_burst or is_wide_pair
-
-
-def test_every_admissible_has_maximal_superset():
-    ch = ChannelModel(7, 3, 1)
-    horizon = 7
-    full = [set(p.erased) for p in enumerate_admissible_patterns(horizon, ch)]
-    maximal = [set(p.erased) for p in enumerate_admissible_patterns(horizon, ch, maximal_only=True)]
-    for s in full:
-        assert any(s <= t for t in maximal)
-
-
 def test_prefix_closure():
     """Dropping the largest erasure keeps a pattern admissible (the DFS invariant)."""
     ch = ChannelModel(6, 4, 2)

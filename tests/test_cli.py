@@ -112,6 +112,10 @@ def test_verify_malformed_spec(capsys, tmp_path):
     ("ext_poly", 1, 2.0),
     ("W", None, 13.0),
     ("T_u", None, 6.0),
+    ("seed", None, "x"),
+    ("g1_seed", None, 1.5),
+    ("g2_seed", None, True),
+    ("g2_seed", None, None),
 ])
 def test_spec_entries_must_be_int(capsys, spec_file, tmp_path, key, index, value):
     d = json.loads(spec_file.read_text())

@@ -9,6 +9,7 @@ from muxfec.channel import (
     enumerate_admissible_patterns,
 )
 from muxfec.decoder import (
+    SymbolDeadline,
     block_deadlines,
     check_pattern,
     decode_message,
@@ -17,6 +18,8 @@ from muxfec.decoder import (
     verify_achievable,
     verify_matrix,
 )
+from muxfec.linalg import Matrix
+from muxfec.muxcode import build_mux_code, select_parameters
 from muxfec.singlecode import build_single_code
 
 from oracles import codes_to_pairs, sequential_substitution, unit_in_span_bruteforce
@@ -211,14 +214,12 @@ def test_decoder_times_never_beat_span_rank():
 
 
 def test_decode_message_recovers_every_maximal_pattern(example_code):
-    """Random GF(q^2) messages come back exactly under every maximal pattern."""
+    """Random GF(q^2) messages come back exactly under every admissible pattern."""
     rng = random.Random(5)
     g = example_code.G
     order = example_code.field.order
     deadlines = example_code.symbol_deadlines()
-    patterns = enumerate_admissible_patterns(
-        g.cols, example_code.verification_channel(), maximal_only=True
-    )
+    patterns = enumerate_admissible_patterns(g.cols, example_code.verification_channel())
     assert patterns
     for p in patterns:
         for _ in range(3):
@@ -237,19 +238,59 @@ def test_report_serialization(example_code):
     assert all(set(s) >= {"kind", "index", "gen_time", "deadline", "decode_time", "met"} for s in d["symbols"])
 
 
-def test_parallel_verification_matches_serial(example_code):
-    serial = verify_achievable(example_code, ChannelModel(13, 4, 2), jobs=1)
-    parallel = verify_achievable(example_code, ChannelModel(13, 4, 2), jobs=2)
-    assert parallel.passed == serial.passed
-    assert parallel.patterns_checked == serial.patterns_checked
+@pytest.fixture(scope="module")
+def committed_size_code():
+    """(T_v, T_u, B, N) = (20, 10, 6, 2), the size of the benchmark's committed spec."""
+    return build_mux_code(select_parameters(20, 10, 6, 2), seed=0)
 
 
-def test_parallel_counterexample_is_first_in_order(example_code):
-    p = example_code.params
-    deadlines = list(mux_deadlines(p.k_v, p.k_u, p.h, p.n, p.T_v, p.T_u))
-    u0 = deadlines[p.k_v]
-    deadlines[p.k_v] = type(u0)(u0.kind, u0.index, u0.row, u0.gen_time, u0.deadline - 1)
-    serial = verify_matrix(example_code.G, deadlines, ChannelModel(13, 4, 2), jobs=1)
-    parallel = verify_matrix(example_code.G, deadlines, ChannelModel(13, 4, 2), jobs=2)
-    assert not parallel.passed
-    assert parallel.counterexample == serial.counterexample
+def _verifier_variants(code):
+    """(matrix, channel, deadline lists): the code's own gate with each deadline
+    tightened by one, then a zeroed column, then a window W < n."""
+    g, symbols, ch = code.G, list(code.symbol_deadlines()), code.verification_channel()
+    tightened = [symbols]
+    for i, s in enumerate(symbols):
+        tight = symbols[:]
+        tight[i] = SymbolDeadline(s.kind, s.index, s.row, s.gen_time, s.deadline - 1)
+        tightened.append(tight)
+    yield g, ch, tightened
+    zero = g.cols // 2
+    data = tuple(0 if j % g.cols == zero else e for j, e in enumerate(g.data))
+    yield Matrix(g.rows, g.cols, g.field, data), ch, [symbols]
+    yield g, ChannelModel(max(g.cols - 4, ch.B + 1), ch.B, ch.N), [symbols]
+
+
+@pytest.mark.parametrize("name", ["example", "single_6_4_2", "single_8_4_3", "committed_size"])
+def test_verifier_matches_bruteforce(request, name):
+    """The walk against check_pattern over every enumerated admissible pattern."""
+    code = {
+        "example": lambda: request.getfixturevalue("example_code"),
+        "single_6_4_2": lambda: build_single_code(6, 4, 2, seed=0),
+        "single_8_4_3": lambda: build_single_code(8, 4, 3, seed=0),
+        "committed_size": lambda: request.getfixturevalue("committed_size_code"),
+    }[name]()
+    verdicts = []
+    for g, ch, deadline_lists in _verifier_variants(code):
+        # brute-force decode times per row, one check_pattern per pattern
+        rows = block_deadlines(g.rows, g.cols, g.cols - 1)
+        brute = {
+            p: [s.decode_time for s in check_pattern(g, p, rows).symbols]
+            for p in enumerate_admissible_patterns(g.cols, ch)
+        }
+        for symbols in deadline_lists:
+            result = verify_matrix(g, symbols, ch)
+            expect = all(
+                times[s.row] is not None and times[s.row] <= s.deadline
+                for times in brute.values() for s in symbols
+            )
+            assert result.passed == expect
+            if result.passed:
+                assert result.patterns_checked == len(brute)
+                assert result.counterexample is None and result.report is None
+            else:
+                assert result.counterexample in brute  # admissible, on the code's horizon
+                report = check_pattern(g, result.counterexample, symbols)
+                assert not report.passed and report == result.report
+                assert 1 <= result.patterns_checked <= len(brute)
+            verdicts.append(result.passed)
+    assert verdicts[0] and not all(verdicts)

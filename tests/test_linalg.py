@@ -162,7 +162,11 @@ def test_column_span_tracks_rank():
         pairs = codes_to_pairs(m)
         span = ColumnSpan(GF5, r)
         for j in range(c):
+            if j == c // 2:  # the verifier's walk relies on add never mutating a basis column
+                snapshot = span.copy()
+                frozen = {p: list(b) for p, b in snapshot.basis.items()}
             span.add(m.col(j))
+        assert snapshot.basis == frozen
         assert span.dimension == rank_bruteforce(pairs, GF5.q, GF5.c1, GF5.c0)
         for j in range(r):
             want = unit_in_span_bruteforce(pairs, j, GF5.q, GF5.c1, GF5.c0)
