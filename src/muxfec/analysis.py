@@ -174,10 +174,12 @@ class GainTable:
     cells: tuple[GainCell, ...]
 
     def cell(self, T_v: int, T_u: int) -> GainCell:
-        for c in self.cells:
-            if c.T_v == T_v and c.T_u == T_u:
-                return c
-        raise KeyError(f"no cell ({T_v}, {T_u})")
+        """The cell at (T_v, T_u); cells are row-major over tv_values x tu_values."""
+        try:
+            i, j = self.tv_values.index(T_v), self.tu_values.index(T_u)
+        except ValueError:
+            raise KeyError(f"no cell ({T_v}, {T_u})") from None
+        return self.cells[i * len(self.tu_values) + j]
 
     def to_csv(self, exact: bool = False) -> str:
         lines = ["T_v/T_u," + ",".join(str(t) for t in self.tu_values) + ",capacity_v,sum_rate_bound"]

@@ -54,6 +54,13 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _load_spec(path: str):
+    try:
+        return codespec.load(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load spec: {exc}") from exc
+
+
 def cmd_build(args) -> int:
     seed = _seed_from(args)
     try:
@@ -90,10 +97,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        code = codespec.load(args.spec)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load spec: {exc}") from exc
+    code = _load_spec(args.spec)
     ch = code.verification_channel()
     if args.w is not None:
         if args.w <= code.params.B:
@@ -122,10 +126,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        code = codespec.load(args.spec)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load spec: {exc}") from exc
+    code = _load_spec(args.spec)
     if args.slots < code.params.n:
         raise UsageError(f"--slots must be at least n={code.params.n}")
     seed = _seed_from(args)
@@ -138,10 +139,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    try:
-        code = codespec.load(args.spec)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load spec: {exc}") from exc
+    code = _load_spec(args.spec)
     print(json.dumps(code.G.to_dump(), indent=1))
     return 0
 

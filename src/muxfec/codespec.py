@@ -16,7 +16,6 @@ from . import __version__
 from .galois import FieldSpec
 from .linalg import Matrix
 from .muxcode import MuxCode, MuxParams, select_parameters
-from .singlecode import BlockCode, special_position
 
 
 def spec_dict(code: MuxCode) -> dict:
@@ -30,8 +29,8 @@ def spec_dict(code: MuxCode) -> dict:
         "T_u_prime": p.T_u_prime,
         "regime": p.regime,
         "seed": code.seed,
-        "g1_seed": code.g1.seed,
-        "g2_seed": code.g2.seed,
+        "g1_seed": code.g1_seed,
+        "g2_seed": code.g2_seed,
         "q": code.field.q,
         "ext_poly": list(code.field.ext_poly()),
         "matrix": list(code.G.data),
@@ -65,28 +64,12 @@ def load(path: Union[str, Path]) -> MuxCode:
         if any(type(e) is not int for e in [*ints, *d["ext_poly"], *d["matrix"]]):
             raise ValueError("malformed code spec: entries must be integers")
         params = params_from_dict(d)
-        field = FieldSpec(d["q"], d["ext_poly"][0], d["ext_poly"][1])
+        if d["regime"] != params.regime:
+            raise ValueError(f"malformed code spec: regime should be {params.regime!r}")
+        if len(d["ext_poly"]) != 2:
+            raise ValueError("malformed code spec: ext_poly must be [c1, c0]")
+        field = FieldSpec(d["q"], *d["ext_poly"])
         merged = Matrix(params.k_v + params.k_u, params.n, field, tuple(d["matrix"]))
-        g1 = _constituent(
-            merged, field, params.T_v_prime, params, rows=range(params.k_v),
-            cols=range(params.k_v + params.B), variant="base-field-special",
-            seed=g1_seed,
-        )
-        g2 = _constituent(
-            merged, field, params.T_u_prime, params,
-            rows=range(params.k_v, params.k_v + params.k_u),
-            cols=range(params.h, params.n), variant="extension-special",
-            seed=g2_seed,
-        )
-        return MuxCode(params, merged, g1, g2, field, seed)
-    except (KeyError, TypeError, IndexError) as exc:
+        return MuxCode(params, merged, seed, g1_seed, g2_seed)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed code spec: {exc}") from exc
-
-
-def _constituent(merged, field, T, params, rows, cols, variant, seed) -> BlockCode:
-    k = T - params.N + 1
-    g = merged.submatrix(rows, cols)
-    return BlockCode(
-        T, params.B, params.N, k, k + params.B, g, field, seed, variant,
-        special_position(T, params.B, params.N),
-    )

@@ -77,11 +77,16 @@ class FieldSpec:
             raise ValueError(f"q must be prime, got {self.q}")
         if not (0 <= self.c1 < self.q and 0 <= self.c0 < self.q):
             raise ValueError("ext_poly coefficients must be reduced mod q")
-        for x in range(self.q):
-            if (x * x + self.c1 * x + self.c0) % self.q == 0:
-                raise ValueError(
-                    f"x^2 + {self.c1}x + {self.c0} has root {x} mod {self.q}; not irreducible"
-                )
+        if self.q == 2:
+            irreducible = all((x * x + self.c1 * x + self.c0) % 2 for x in (0, 1))
+        else:
+            # Euler's criterion: a root exists iff the discriminant is a square
+            disc = (self.c1 * self.c1 - 4 * self.c0) % self.q
+            irreducible = pow(disc, (self.q - 1) // 2, self.q) == self.q - 1
+        if not irreducible:
+            raise ValueError(
+                f"x^2 + {self.c1}x + {self.c0} has a root mod {self.q}; not irreducible"
+            )
 
     @property
     def order(self) -> int:

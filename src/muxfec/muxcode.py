@@ -108,10 +108,27 @@ def select_parameters(
 class MuxCode:
     params: MuxParams
     G: Matrix
-    g1: BlockCode
-    g2: BlockCode
-    field: FieldSpec
     seed: int
+    g1_seed: int
+    g2_seed: int
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.G.field
+
+    @property
+    def g1(self) -> BlockCode:
+        """The less-urgent constituent: the v rows over the first h + m columns."""
+        p = self.params
+        g = self.G.submatrix(range(p.k_v), range(p.h + p.m))
+        return BlockCode(p.T_v_prime, p.B, p.N, g, self.g1_seed, BASE_SPECIAL)
+
+    @property
+    def g2(self) -> BlockCode:
+        """The urgent constituent: the u rows over the last n - h columns."""
+        p = self.params
+        g = self.G.submatrix(range(p.k_v, p.k_v + p.k_u), range(p.h, p.n))
+        return BlockCode(p.T_u_prime, p.B, p.N, g, self.g2_seed, EXTENSION_SPECIAL)
 
     @property
     def sum_rate(self) -> Fraction:
@@ -182,8 +199,6 @@ def build_mux_code(params: MuxParams, seed: int = 0, max_tries: int = 64) -> Mux
     matrix under (W, B, N).  Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
-    deadlines = mux_deadlines(params.k_v, params.k_u, params.h, params.n, params.T_v, params.T_u)
-    ch = ChannelModel(params.W, params.B, params.N)
     last_failure = "no attempts made"
     for q in field_sizes(initial_prime(params), max_tries):
         s1 = rng.randrange(2**63)
@@ -199,11 +214,11 @@ def build_mux_code(params: MuxParams, seed: int = 0, max_tries: int = 64) -> Mux
             last_failure = str(exc)
             continue
         merged = assemble_merged_matrix(g1.G, g2.G, params.m)
-        code = MuxCode(params, merged, g1, g2, g1.field, seed)
+        code = MuxCode(params, merged, seed, g1.seed, g2.seed)
         if params.regime == BURST_DOMINANT and not is_mds(code.left_mds_sub()):
             last_failure = "left submatrix MDS check failed"
             continue
-        result = verify_matrix(merged, deadlines, ch)
+        result = verify_matrix(code.G, code.symbol_deadlines(), code.verification_channel())
         if not result.passed:
             last_failure = result.failure_text()
             continue

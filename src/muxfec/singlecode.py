@@ -43,13 +43,25 @@ class BlockCode:
     T: int
     B: int
     N: int
-    k: int
-    n: int
     G: Matrix
-    field: FieldSpec
     seed: int
     variant: str
-    special_pos: tuple[int, int]
+
+    @property
+    def k(self) -> int:
+        return self.G.rows
+
+    @property
+    def n(self) -> int:
+        return self.G.cols
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.G.field
+
+    @property
+    def special_pos(self) -> tuple[int, int]:
+        return special_position(self.T, self.B, self.N)
 
     @property
     def rate(self) -> Fraction:
@@ -72,18 +84,6 @@ class BlockCode:
 
     def encode(self, message: list[int]) -> list[int]:
         return self.G.vec_mul(message)
-
-    def to_spec_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "B": self.B,
-            "N": self.N,
-            "variant": self.variant,
-            "seed": self.seed,
-            "q": self.field.q,
-            "ext_poly": list(self.field.ext_poly()),
-            "matrix": self.G.to_dump(),
-        }
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,9 @@ def special_position(T: int, B: int, N: int) -> tuple[int, int]:
 
 def _draw_matrix(
     field: FieldSpec, T: int, B: int, N: int, variant: str, rng: random.Random
-) -> tuple[Matrix, tuple[int, int]]:
+) -> Matrix:
     k, n = T - N + 1, T - N + 1 + B
     q = field.q
-    special = special_position(T, B, N)
 
     def base_nonzero() -> int:
         return rng.randrange(1, q)
@@ -149,12 +148,12 @@ def _draw_matrix(
             for c in range(j + 1, n):
                 row[c] = base_nonzero()
         rows.append(row)
-    r, c = special
+    r, c = special_position(T, B, N)
     if variant == EXTENSION_SPECIAL:
         rows[r][c] = field.code(rng.randrange(q), rng.randrange(1, q))
     else:
         rows[r][c] = base_nonzero()
-    return Matrix.from_rows(field, rows), special
+    return Matrix.from_rows(field, rows)
 
 
 def verify_single_structure(code: BlockCode) -> StructureReport:
@@ -182,12 +181,11 @@ def build_single_code(
     seed: int = 0,
     q: Optional[int] = None,
     max_tries: int = 64,
-    verify: bool = True,
 ) -> BlockCode:
     """Randomized construction over the template, gated by verification.
 
     Deterministic for a fixed seed.  When q is not given, it starts at the
-    smallest prime >= k+N (headroom for the longest MDS sub-block) and
+    smallest prime >= k+N = T+1 (headroom for the longest MDS sub-block) and
     moves to the next prime every few failed draws; an explicit q is never
     bumped.  Raises RuntimeError naming the failing property if the retry
     budget runs out.
@@ -196,27 +194,21 @@ def build_single_code(
         raise ValueError(f"need T >= B > N >= 1, got T={T} B={B} N={N}")
     if variant not in (BASE_SPECIAL, EXTENSION_SPECIAL):
         raise ValueError(f"unknown variant {variant!r}")
-    k = T - N + 1
-    n = k + B
     rng = random.Random(seed)
-    sizes = [q] * max_tries if q is not None else field_sizes(next_prime(k + N), max_tries)
-    ch = ChannelModel(T + 1, B, N)
-    deadlines = block_deadlines(k, n, T)
+    sizes = [q] * max_tries if q is not None else field_sizes(next_prime(T + 1), max_tries)
     last_failure = "no attempts made"
     for cur_q in sizes:
-        field = field_spec(cur_q)
-        g, special = _draw_matrix(field, T, B, N, variant, rng)
-        code = BlockCode(T, B, N, k, n, g, field, seed, variant, special)
+        g = _draw_matrix(field_spec(cur_q), T, B, N, variant, rng)
+        code = BlockCode(T, B, N, g, seed, variant)
         structure = verify_single_structure(code)
         if not structure.passed:
             bad = [name for name, ok in structure.to_dict().items() if ok is False]
             last_failure = f"structure check failed: {', '.join(bad)}"
             continue
-        if verify:
-            result = verify_matrix(g, deadlines, ch)
-            if not result.passed:
-                last_failure = result.failure_text()
-                continue
+        result = verify_matrix(code.G, code.symbol_deadlines(), code.verification_channel())
+        if not result.passed:
+            last_failure = result.failure_text()
+            continue
         return code
     raise RuntimeError(
         f"single-code search exhausted {max_tries} tries for (T={T}, B={B}, N={N}); "

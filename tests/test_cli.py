@@ -97,12 +97,21 @@ def test_verify_detects_mutated_spec(capsys, spec_file, tmp_path):
     assert payload["report"]["symbols"]
 
 
-def test_verify_malformed_spec(capsys, tmp_path):
+def test_verify_malformed_spec(capsys, spec_file, tmp_path):
+    good = json.loads(spec_file.read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text('{"T_v": 12}')
-    rc, out, err = run_cli(capsys, "verify", str(bad))
-    assert rc == 1
-    assert json.loads(err)["error"] == "usage"
+    for d in (
+        {"T_v": 12},
+        {**good, "ext_poly": good["ext_poly"] + [1]},  # only [c1, c0] is read
+        {**good, "ext_poly": good["ext_poly"][:1]},
+        {**good, "regime": "random-dominant"},  # (12,6,4,2) is burst-dominant
+    ):
+        bad.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="malformed code spec"):
+            codespec.load(bad)
+        rc, out, err = run_cli(capsys, "verify", str(bad))
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "usage"
 
 
 @pytest.mark.parametrize("key,index,value", [

@@ -29,6 +29,26 @@ def test_spec_rejects_composite_and_reducible():
         FieldSpec(11, 0, 10)  # x^2 - 1 = (x-1)(x+1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_irreducibility_matches_root_search(q):
+    for c1, c0 in itertools.product(range(q), repeat=2):
+        has_root = any((x * x + c1 * x + c0) % q == 0 for x in range(q))
+        if has_root:
+            with pytest.raises(ValueError, match="not irreducible"):
+                FieldSpec(q, c1, c0)
+        else:
+            assert FieldSpec(q, c1, c0).ext_poly() == (c1, c0)
+
+
+def test_spec_at_large_prime():
+    q = 2**31 - 1
+    spec = field_spec(q)
+    x = spec.code(0, 1)
+    assert spec.mul(x, spec.inv(x)) == 1
+    with pytest.raises(ValueError, match="not irreducible"):
+        FieldSpec(q, 0, q - 1)  # x^2 - 1
+
+
 def test_add_examples():
     gf11 = field_spec(11)
     assert gf11.add(7, 8) == 4  # 15 mod 11

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from muxfec import codespec
+from muxfec.decoder import verify_achievable
 from muxfec.galois import field_spec
 from muxfec.linalg import is_mds
 from muxfec.muxcode import (
@@ -17,6 +18,7 @@ from muxfec.muxcode import (
     merge_codewords,
     select_parameters,
 )
+from muxfec.singlecode import BASE_SPECIAL, EXTENSION_SPECIAL, build_single_code
 
 
 def test_select_parameters_example():
@@ -155,6 +157,26 @@ def build_mux_code_cached():
     from muxfec.muxcode import build_mux_code, select_parameters
 
     return build_mux_code(select_parameters(12, 6, 4, 2), seed=0)
+
+
+@pytest.mark.parametrize("name", ["example_code", "random_dominant_code"])
+def test_spec_round_trip_keeps_constituents(request, tmp_path, name):
+    code = request.getfixturevalue(name)
+    path = tmp_path / "code.json"
+    codespec.save(code, path)
+    loaded = codespec.load(path)
+    assert loaded == code
+    assert (loaded.g1, loaded.g2) == (code.g1, code.g2)
+    assert assemble_merged_matrix(code.g1.G, code.g2.G, code.params.m) == code.G
+    # the constituents read off G are the ones the builder drew from their seeds
+    p, q = code.params, code.field.q
+    assert code.g1 == build_single_code(
+        p.T_v_prime, p.B, p.N, BASE_SPECIAL, seed=code.g1_seed, q=q, max_tries=16
+    )
+    assert code.g2 == build_single_code(
+        p.T_u_prime, p.B, p.N, EXTENSION_SPECIAL, seed=code.g2_seed, q=q, max_tries=16
+    )
+    assert verify_achievable(code.g1).passed and verify_achievable(code.g2).passed
 
 
 def test_assemble_layout():

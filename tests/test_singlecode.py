@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from muxfec.linalg import Matrix, is_mds
 from muxfec.singlecode import (
     BASE_SPECIAL,
     EXTENSION_SPECIAL,
-    BlockCode,
     build_single_code,
     special_position,
     verify_single_structure,
@@ -79,11 +79,7 @@ def test_zeroed_column_fails_g1_flag(code_956):
     rows = [g.row(i) for i in range(g.rows)]
     for i in range(g.rows):
         rows[i][2] = 0  # a column inside the upper-left MDS block
-    broken = BlockCode(
-        code_956.T, code_956.B, code_956.N, code_956.k, code_956.n,
-        Matrix.from_rows(g.field, rows), g.field, code_956.seed,
-        code_956.variant, code_956.special_pos,
-    )
+    broken = dataclasses.replace(code_956, G=Matrix.from_rows(g.field, rows))
     report = verify_single_structure(broken)
     assert report.g1_mds is False
     assert report.passed is False
@@ -154,10 +150,9 @@ def test_random_dominant_single_builds():
 
 
 def test_spec_dict_round_trips_matrix(code_956):
-    d = code_956.to_spec_dict()
-    assert d["q"] == code_956.field.q
-    assert Matrix.from_dump(d["matrix"]) == code_956.G
+    assert Matrix.from_dump(code_956.G.to_dump()) == code_956.G
     rebuilt = build_single_code(
-        d["T"], d["B"], d["N"], d["variant"], seed=d["seed"], q=d["q"]
+        code_956.T, code_956.B, code_956.N, code_956.variant,
+        seed=code_956.seed, q=code_956.field.q,
     )
     assert rebuilt.G == code_956.G
