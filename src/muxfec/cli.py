@@ -8,6 +8,7 @@ object so batch drivers can parse failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -54,6 +55,15 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failed write of an output file into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_spec(path: str):
     try:
         return codespec.load(path)
@@ -73,7 +83,8 @@ def cmd_build(args) -> int:
         _err({"error": "verification", "detail": str(exc)})
         return 2
     if args.out:
-        codespec.save(code, args.out)
+        with _writing(args.out):
+            codespec.save(code, args.out)
     rates = rate_report(params.T_v, params.T_u, params.B, params.N)
     report = {
         "T_v": params.T_v,
@@ -107,10 +118,10 @@ def cmd_verify(args) -> int:
     payload = result.to_dict()
     payload["W"] = ch.W
     text = json.dumps(payload, indent=1)
-    print(text)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _writing(args.report), open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
     return 0 if result.passed else 2
 
 
@@ -132,7 +143,8 @@ def cmd_simulate(args) -> int:
     seed = _seed_from(args)
     seq = random_erasure_sequence(args.slots, code.verification_channel(), seed)
     if args.trace:
-        write_trace(args.trace, seq)
+        with _writing(args.trace):
+            write_trace(args.trace, seq)
     report = simulate_stream(code, seq)
     print(json.dumps(report.to_dict(), indent=1))
     return 0 if report.passed else 2

@@ -3,8 +3,10 @@
 Elements of GF(q^2) are residues lo + hi*x of GF(q)[x] modulo a monic
 irreducible quadratic x^2 + c1*x + c0.  The base field embeds as the
 elements with hi = 0.  An element is held as its integer display code
-hi*q + lo (also the matrix dump format), and all arithmetic in this
-package goes through the code-level methods of :class:`FieldSpec`.
+hi*q + lo (also the matrix dump format).  Arithmetic on codes goes
+through the methods of :class:`FieldSpec`; the encoding kernel instead
+works on unreduced (lo, hi) coordinates, with the multiplication map
+from :meth:`FieldSpec.mul_map` and one reduction by :meth:`FieldSpec.code`.
 """
 
 from __future__ import annotations
@@ -13,18 +15,36 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to all 13 bases
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the first 13 prime bases.
+
+    The answer is exact for every n below PRIME_LIMIT; larger n raise
+    ValueError rather than risk accepting a strong pseudoprime.
+    """
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is only decided below {PRIME_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -98,7 +118,19 @@ class FieldSpec:
     # -- integer-code arithmetic ------------------------------------------
 
     def code(self, lo: int, hi: int = 0) -> int:
+        """Display code of lo + hi*x; lo and hi may be any (unreduced) ints."""
         return (hi % self.q) * self.q + (lo % self.q)
+
+    def mul_map(self, e: int) -> tuple[int, int, int, int]:
+        """Multiplication by e as a map on (lo, hi) coordinates.
+
+        e * (a0 + a1*x) = (m00*a0 + m01*a1) + (m10*a0 + m11*a1)*x modulo q,
+        for the returned (m00, m01, m10, m11): x^2 = -c1*x - c0 folds the
+        a1*e1*x^2 term into both coordinates.
+        """
+        q = self.q
+        e0, e1 = e % q, e // q
+        return e0, -self.c0 * e1 % q, e1, (e0 - self.c1 * e1) % q
 
     def parts(self, a: int) -> tuple[int, int]:
         return a % self.q, a // self.q

@@ -1,19 +1,23 @@
 """Dense exact linear algebra over GF(q^2).
 
 Matrices store their entries as integer display codes (see galois) in a
-flat row-major tuple; all arithmetic goes through the FieldSpec code
-methods.  The one encoding kernel is Matrix.add_row (acc += c . row i):
-vec_mul and the stream encoder both accumulate codewords with it.  The
-one elimination is ColumnSpan, which grows a fully reduced column basis
-with first-nonzero pivoting: deterministic, and with no stability
-considerations in an exact field.  rank, is_mds and the decoder's
-unit-vector membership and value recovery all rest on it.
+flat row-major tuple.  The one encoding kernel is Matrix.add_row
+((lo, hi) += c . row i): it accumulates a codeword as two lists of
+unreduced integers, the GF(q) coordinates of 1 and x, and calls no field
+method per entry.  vec_mul and the stream encoder both accumulate with
+it and reduce each output symbol once, with FieldSpec.code.  The one
+elimination is ColumnSpan, whose arithmetic goes through the FieldSpec
+code methods.  It grows a fully reduced column basis with first-nonzero
+pivoting: deterministic, and with no stability considerations in an
+exact field.  rank, is_mds and the decoder's unit-vector membership and
+value recovery all rest on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .galois import FieldSpec
@@ -64,23 +68,40 @@ class Matrix:
         data = tuple(self.data[i * self.cols + j] for i in rows for j in cols)
         return Matrix(len(rows), len(cols), self.field, data)
 
-    def add_row(self, acc: list[int], i: int, c: int) -> None:
-        """acc += c . (row i), in place: the one encoding kernel."""
-        add, mul = self.field.add, self.field.mul
-        base = i * self.cols
-        for j, e in enumerate(self.data[base : base + self.cols]):
-            if e:
-                acc[j] = add(acc[j], mul(c, e))
+    @cached_property
+    def _row_maps(self) -> tuple[tuple[tuple[int, int, int, int, int], ...], ...]:
+        """Per row, (j, *FieldSpec.mul_map(e)) for each nonzero entry e at column j.
+
+        Built on the first add_row, not with the matrix: most matrices
+        (take_cols, submatrix, is_mds blocks) never encode.
+        """
+        mul_map = self.field.mul_map
+        return tuple(
+            tuple((j, *mul_map(e)) for j, e in enumerate(self.row(i)) if e)
+            for i in range(self.rows)
+        )
+
+    def add_row(self, lo: list[int], hi: list[int], i: int, c: int) -> None:
+        """(lo, hi) += c . (row i), unreduced: the one encoding kernel.
+
+        lo[j] and hi[j] are integer sums whose residues mod q are the
+        coordinates of 1 and x of symbol j; FieldSpec.code reduces them.
+        """
+        q = self.field.q
+        a0, a1 = c % q, c // q
+        for j, m00, m01, m10, m11 in self._row_maps[i]:
+            lo[j] += a0 * m00 + a1 * m01
+            hi[j] += a0 * m10 + a1 * m11
 
     def vec_mul(self, vec: Sequence[int]) -> list[int]:
         """Row vector times matrix: vec . M, the encoding map."""
         if len(vec) != self.rows:
             raise ValueError("vector length must equal row count")
-        out = [0] * self.cols
+        lo, hi = [0] * self.cols, [0] * self.cols
         for i, v in enumerate(vec):
             if v:
-                self.add_row(out, i, v)
-        return out
+                self.add_row(lo, hi, i, v)
+        return list(map(self.field.code, lo, hi))
 
     def to_dump(self) -> dict:
         """Matrix dump format: JSON-ready dict with integer display codes."""

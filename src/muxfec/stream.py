@@ -6,9 +6,11 @@ slot d+j.  Message symbols feed the diagonals at their first codeword
 appearance (v-lane i of the message arriving at slot d+i becomes block
 coordinate v[i] of diagonal d; u-lane i arriving at slot d+h+i becomes
 u[i]), so encoding stays causal and every block deadline min(g+T, n-1)
-lands exactly g+T slots after the symbol arrived.  The encoder keeps the
-partial codeword of each live diagonal and adds a symbol's row of G to it
-when the symbol arrives.
+lands exactly g+T slots after the symbol arrived.  The encoder keeps each
+live diagonal as the unreduced (lo, hi) integer coordinates of its
+codeword so far, adds a symbol's row of G to them when the symbol arrives
+(Matrix.add_row), and reduces a lane to its display code once, when the
+packet carrying it is emitted.
 
 During warm-up only diagonals starting at slot 0 or later transmit, so
 the first n-1 packets are partially filled with zeros and message
@@ -70,11 +72,13 @@ class StreamReport:
 
 @dataclass
 class StreamState:
-    """Encoder state: the partial codewords of the last n diagonals.
+    """Encoder state: the unreduced codewords of the last n diagonals.
 
-    Each arriving message symbol adds its row of G, scaled by the symbol,
-    to the codeword of its diagonal (Matrix.add_row), and the packet of
-    slot t reads lane j from diagonal t-j.  Lane j of a diagonal is sent
+    A diagonal is a (lo, hi) pair of integer lists, the GF(q) coordinates
+    of 1 and x of each lane, summed without reduction.  Each arriving
+    message symbol adds its row of G, scaled by the symbol, to them
+    (Matrix.add_row), and the packet of slot t reduces lane j of diagonal
+    t-j with FieldSpec.code.  Lane j of a diagonal is sent
     j slots after the diagonal starts, so it holds every symbol that has
     arrived by then.  G is causal (row r is zero before its symbol's
     arrival slot), so that is every symbol with a nonzero entry in lane j,
@@ -83,7 +87,8 @@ class StreamState:
 
     code: MuxCode
     clock: int = 0
-    diagonals: dict[int, list[int]] = field(default_factory=dict)  # start slot -> codeword so far
+    # start slot -> (lo, hi) of its codeword so far
+    diagonals: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
 
     def push(self, v_t: Sequence[int], u_t: Sequence[int]) -> list[int]:
         """Consume one slot's message symbols and emit one packet."""
@@ -91,15 +96,19 @@ class StreamState:
         if len(v_t) != p.k_v or len(u_t) != p.k_u:
             raise ValueError("message lanes must be (k_v, k_u) wide")
         t = self.clock
-        g, order, diagonals = self.code.G, self.code.field.order, self.diagonals
-        diagonals[t] = [0] * p.n
+        g, f, diagonals = self.code.G, self.code.field, self.diagonals
+        order = f.order
+        diagonals[t] = ([0] * p.n, [0] * p.n)
         # v-lane i feeds row i of diagonal t-i, u-lane i row k_v+i of diagonal t-h-i
         lanes = [(t - i, i, sym % order) for i, sym in enumerate(v_t)]
         lanes += [(t - p.h - i, p.k_v + i, sym % order) for i, sym in enumerate(u_t)]
         for d, row, c in lanes:
             if c and d in diagonals:
-                g.add_row(diagonals[d], row, c)
-        packet = [diagonals[t - j][j] if j <= t else 0 for j in range(p.n)]
+                g.add_row(*diagonals[d], row, c)
+        packet = [0] * p.n
+        for j in range(min(t, p.n - 1) + 1):
+            lo, hi = diagonals[t - j]
+            packet[j] = f.code(lo[j], hi[j])
         diagonals.pop(t - p.n + 1, None)
         self.clock += 1
         return packet

@@ -10,6 +10,11 @@ polynomial ring.
 from itertools import combinations, permutations
 
 
+def is_prime_trial(n):
+    """Primality by trial division up to sqrt(n)."""
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
 # -- coordinate-pair arithmetic in GF(q)[x]/(x^2 + c1 x + c0) -------------
 
 def o_add(a, b, q):

@@ -4,6 +4,7 @@ import pytest
 
 from muxfec import codespec
 from muxfec.cli import main
+from muxfec.galois import PRIME_LIMIT
 from muxfec.muxcode import build_mux_code
 
 
@@ -114,6 +115,17 @@ def test_verify_malformed_spec(capsys, spec_file, tmp_path):
         assert json.loads(err)["error"] == "usage"
 
 
+def test_verify_rejects_undecided_field_size(capsys, spec_file, tmp_path):
+    d = json.loads(spec_file.read_text())
+    d["q"] = PRIME_LIMIT  # composite, but passes every Miller-Rabin base used
+    bad = tmp_path / "huge_q.json"
+    bad.write_text(json.dumps(d))
+    rc, out, err = run_cli(capsys, "verify", str(bad))
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "usage" and "only decided below" in payload["detail"]
+
+
 @pytest.mark.parametrize("key,index,value", [
     ("matrix", 0, 1.0),
     ("matrix", 5, True),
@@ -146,6 +158,21 @@ def test_verify_report_file(capsys, spec_file, tmp_path):
     rc, out, _ = run_cli(capsys, "verify", str(spec_file), "--report", str(report), "--jobs", "1")
     assert rc == 0
     assert json.loads(report.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--tv", "12", "--tu", "6", "--b", "4", "--n", "2", "--seed", "0", "--out"],
+    ["verify", "{spec}", "--report"],
+    ["simulate", "{spec}", "--slots", "100", "--trace"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_path(capsys, spec_file, tmp_path, argv):
+    target = tmp_path / "missing" / "out.json"
+    argv = [a.format(spec=spec_file) for a in argv] + [str(target)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "usage" and str(target) in payload["detail"]
+    assert not target.parent.exists()
 
 
 def test_rates_table_reproduction_csv(capsys):

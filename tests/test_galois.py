@@ -1,9 +1,11 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from muxfec.galois import (
+    PRIME_LIMIT,
     FieldSpec,
     field_sizes,
     field_spec,
@@ -12,7 +14,7 @@ from muxfec.galois import (
     smallest_nonresidue,
 )
 
-from oracles import ext_euclid_inverse, o_add, o_mul, o_sub
+from oracles import ext_euclid_inverse, is_prime_trial, o_add, o_mul, o_sub
 
 
 def test_default_spec_uses_smallest_nonresidue():
@@ -160,3 +162,28 @@ def test_prime_helpers():
     assert next_prime(11) == 11
     # the builders' field schedule: four draws per size, then >= 3q/2
     assert list(field_sizes(7, 9)) == [7, 7, 7, 7, 11, 11, 11, 11, 17]
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == is_prime_trial(n) for n in range(20_000))
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+
+
+def test_is_prime_large_and_beyond_limit():
+    t0 = time.perf_counter()
+    assert is_prime(10**14 + 31)
+    assert time.perf_counter() - t0 < 0.1  # trial division took most of a second
+    assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) * (10**14 + 31))
+    # PRIME_LIMIT = 1287836182261 * 2575672364521 passes all 13 bases, so
+    # neither it nor any larger q is decided, and no FieldSpec accepts it
+    assert PRIME_LIMIT == 1287836182261 * 2575672364521
+    for n in (PRIME_LIMIT, PRIME_LIMIT + 2):
+        with pytest.raises(ValueError, match="only decided below"):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        FieldSpec(PRIME_LIMIT, 0, 1)

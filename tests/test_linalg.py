@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from muxfec.galois import field_spec
+from muxfec.galois import FieldSpec, field_spec
 from muxfec.linalg import ColumnSpan, Matrix, is_mds, rank
 
 from oracles import (
@@ -171,6 +171,28 @@ def test_column_span_tracks_rank():
         for j in range(r):
             want = unit_in_span_bruteforce(pairs, j, GF5.q, GF5.c1, GF5.c0)
             assert span.contains_unit(j) == want
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(5, 1, 2), FieldSpec(2, 1, 1), FieldSpec(7, 3, 5),
+                                  GF11], ids=str)
+def test_vec_mul_matches_pair_oracle(spec):
+    """The encoding kernel against longhand pair arithmetic: vec . M = M^T . vec.
+
+    c1 != 0 exercises the x-term of x^2 = -c1*x - c0, which the default
+    fields of odd q (c1 = 0) never do.
+    """
+    rng = random.Random(spec.q * 100 + spec.c1)
+    for _ in range(200):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randrange(spec.order) for _ in range(c)] for _ in range(r)]
+        rows[rng.randrange(r)] = [0] * c
+        vec = [rng.randrange(spec.order) for _ in range(r)]
+        vec[rng.randrange(r)] = 0
+        m = Matrix.from_rows(spec, rows)
+        assert "_row_maps" not in vars(m)  # built on first use only
+        transpose = [list(col) for col in zip(*codes_to_pairs(m))]
+        want = mat_vec(transpose, code_pairs(vec, spec.q), spec.q, spec.c1, spec.c0)
+        assert m.vec_mul(vec) == [spec.code(lo, hi) for lo, hi in want]
 
 
 def test_matrix_dump_round_trip():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -66,6 +68,34 @@ def test_packet_values_match_block_encoding(example_code, random_dominant_code):
             word = code.G.vec_mul(block_msg)
             got = [packets[d + j][j] for j in range(p.n)]
             assert got == word, f"diagonal {d}"
+
+
+def seeded_messages(code, slots, seed):
+    """Seeded message lanes: GF(q^2) symbols, zeros, and symbols >= q^2,
+    which push reduces mod q^2."""
+    p, order = code.params, code.field.order
+    rng = random.Random(seed)
+
+    def symbol():
+        return rng.choice((0, rng.randrange(order), rng.randrange(order, 3 * order)))
+
+    return [([symbol() for _ in range(p.k_v)], [symbol() for _ in range(p.k_u)])
+            for _ in range(slots)]
+
+
+# sha256 of json.dumps(packets), computed with the earlier encoder whose
+# add_row reduced every product and sum through FieldSpec.mul and .add
+PACKET_SHA256 = {
+    "example_code": "bbc9d8c03d01eaa9a1fa3087f2552ce45d3f46f2473e0f1753c961874415cf2a",
+    "random_dominant_code": "4e44140cf777ad8dd0161be3282adeebd9dced9ce38f62f13fb55c8dd20f5cc0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKET_SHA256))
+def test_packet_bytes_pinned(request, name):
+    code = request.getfixturevalue(name)
+    packets = stream_encode(seeded_messages(code, 3 * code.params.n, 2024), code)
+    assert hashlib.sha256(json.dumps(packets).encode()).hexdigest() == PACKET_SHA256[name]
 
 
 def test_rate_accounting(example_code):
