@@ -64,6 +64,15 @@ def _writing(path: str):
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_out(path: str) -> None:
+    """Reject an output path that cannot be a file before any work is done."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write {path}: no directory {parent}")
+
+
 def _load_spec(path: str):
     try:
         return codespec.load(path)
@@ -77,6 +86,8 @@ def cmd_build(args) -> int:
         params = select_parameters(args.tv, args.tu, args.b, args.n, T_u_prime=args.tu_prime)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.out:
+        _check_out(args.out)
     try:
         code = build_mux_code(params, seed=seed)
     except RuntimeError as exc:

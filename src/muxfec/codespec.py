@@ -54,7 +54,11 @@ def params_from_dict(d: dict) -> MuxParams:
 
 def load(path: Union[str, Path]) -> MuxCode:
     """Rehydrate a MuxCode from a spec file (matrix taken as stored)."""
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        d = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("malformed code spec: JSON nested too deeply") from exc
     try:
         # exactly int: a bool passes isinstance(e, int), a float breaks the field ops
         seed = d["seed"]

@@ -8,17 +8,22 @@ earliest decode time; check_pattern, earliest_decode_time and
 decode_message all read it.  decode_message extends each column by its
 received symbol, so the sweep also yields the decoded values.
 
-The verifier realises the achievability quantifier "for every admissible
-erasure sequence" directly: one depth-first walk of the admissible-pattern
-tree decodes as it goes, so a pattern shares the sweep of its parent up to
-its last erasure, and every admissible pattern's decode times are checked
-against the deadlines.
+One depth-first walk of an erasure-pattern tree (_walk) decodes as it
+goes, so a pattern shares the sweep of its parent up to its last erasure.
+It has two callers.  verify_matrix realises the achievability quantifier
+"for every admissible erasure sequence" directly: it walks the
+admissible-pattern tree and checks every pattern's decode times against
+the deadlines.  miss_table walks only the prefixes of a given set of
+patterns, such as the distinct induced patterns of a stream simulation,
+and returns each pattern's missed symbols.  check_pattern decodes one
+pattern from scratch; it is the single-pattern reference the walk is
+tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .channel import ERASURE_MARK, ChannelModel, ErasurePattern, _extend
 from .linalg import ColumnSpan, Matrix
@@ -169,7 +174,12 @@ def earliest_decode_time(g: Matrix, p: ErasurePattern, j: int) -> Optional[int]:
 def check_pattern(
     g: Matrix, p: ErasurePattern, symbols: Sequence[SymbolDeadline]
 ) -> DecodeReport:
-    """Decode times of all symbols under one pattern, checked against deadlines."""
+    """Decode times of all symbols under one pattern, checked against deadlines.
+
+    This is the single-pattern reference: one sweep from scratch, sharing
+    nothing with other patterns.  verify_matrix and miss_table get the same
+    times from one walk over many patterns.
+    """
     times = _decode_times(ColumnSpan(g.field, g.rows), map(g.col, range(g.cols)), p)
     return _report(times, symbols)
 
@@ -206,46 +216,102 @@ def decode_message(
     return DecodeReport(tuple(results))
 
 
+def _walk(
+    g: Matrix,
+    admits: Callable[[list[int], int], bool],
+    visit: Callable[[list[int], list[Optional[int]]], object],
+):
+    """Depth-first walk of a prefix-closed erasure-pattern tree, decoding as it goes.
+
+    A node is a pattern e1 < ... < ek holding the sweep state at slot ek;
+    the root is the empty pattern.  For each later slot t in order, the
+    node asks admits(erased, t), which either appends t and returns True or
+    leaves erased as it was and returns False.  On True it walks that child
+    from a copy of the state, then pops t; either way it then adds column t
+    itself.  At the last slot its decode times are complete, and
+    visit(erased, times) gets them.  So children are visited before their
+    parent, in increasing order of the added slot.  A truthy return of
+    visit stops the walk and is returned; otherwise None is.
+    """
+    n = g.cols
+    cols = [g.col(t) for t in range(n)]
+    erased: list[int] = []  # the current node's pattern, extended and popped in place
+
+    def walk(span: ColumnSpan, times: list, pending: set, start: int):
+        for t in range(start, n):
+            if admits(erased, t):
+                stop = walk(span.copy(), times[:], set(pending), t + 1)
+                erased.pop()
+                if stop:
+                    return stop
+            if pending:
+                _add_column(span, cols[t], t, times, pending)
+        return visit(erased, times)
+
+    return walk(ColumnSpan(g.field, g.rows), [None] * g.rows, set(range(g.rows)), 0)
+
+
 def verify_matrix(
     g: Matrix, symbols: Sequence[SymbolDeadline], ch: ChannelModel
 ) -> VerificationResult:
     """Check every admissible pattern on [0, cols); the first failure wins.
 
-    A node of the walk is a pattern e1 < ... < ek holding the sweep state
-    at slot ek.  For each later slot t in order, it first walks the child
-    that also erases t, if channel._extend admits it, from a copy of the
-    state, then adds column t itself.  At the last slot its decode times
-    are complete and are checked.  So every admissible pattern is checked
-    once, the counterexample is the first failing pattern in walk order
-    (children before their parent, in increasing order of the added slot),
-    and patterns_checked counts the patterns checked up to and including
-    it.
+    One _walk over the admissible-pattern tree: channel._extend admits a
+    child, and each visited pattern's decode times are checked against the
+    deadlines.  So every admissible pattern is checked once, the
+    counterexample is the first failing pattern in walk order (children
+    before their parent, in increasing order of the added slot), and
+    patterns_checked counts the patterns checked up to and including it.
     """
     n = g.cols
-    cols = [g.col(t) for t in range(n)]
     due = [(s.row, s.deadline) for s in symbols]
-    erased: list[int] = []  # the current node's pattern, extended and popped in place
     checked = 0
 
-    def walk(span: ColumnSpan, times: list, pending: set, start: int):
+    def visit(erased: list[int], times: list):
         nonlocal checked
-        for t in range(start, n):
-            if _extend(erased, (t,), ch):
-                miss = walk(span.copy(), times[:], set(pending), t + 1)
-                erased.pop()
-                if miss:
-                    return miss
-            if pending:
-                _add_column(span, cols[t], t, times, pending)
         checked += 1
         if any(times[row] is None or times[row] > deadline for row, deadline in due):
             return ErasurePattern(n, tuple(erased)), _report(times, symbols)
         return None
 
-    miss = walk(ColumnSpan(g.field, g.rows), [None] * g.rows, set(range(g.rows)), 0)
+    miss = _walk(g, lambda erased, t: _extend(erased, (t,), ch), visit)
     if miss:
         return VerificationResult(False, checked, *miss)
     return VerificationResult(True, checked, None, None)
+
+
+def miss_table(
+    g: Matrix, symbols: Sequence[SymbolDeadline], patterns: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], list[SymbolResult]]:
+    """Missed symbols of each pattern, from one _walk over the patterns' prefixes.
+
+    patterns are increasing tuples of erased slots on [0, cols), read once
+    into a set, so a repeated pattern costs nothing more.  The walk
+    admits a child exactly when it is a prefix of some pattern, so it needs
+    no channel and no admissibility; each pattern's entry equals
+    check_pattern(g, ErasurePattern(cols, pattern), symbols).misses().
+    """
+    wanted = set(patterns)
+    prefixes = {p[:i] for p in wanted for i in range(1, len(p) + 1)}
+    table: dict[tuple[int, ...], list[SymbolResult]] = {}
+
+    def admits(erased: list[int], t: int) -> bool:
+        erased.append(t)
+        if tuple(erased) in prefixes:
+            return True
+        erased.pop()
+        return False
+
+    def visit(erased: list[int], times: list) -> None:
+        key = tuple(erased)
+        if key in wanted:
+            table[key] = _report(times, symbols).misses()
+
+    _walk(g, admits, visit)
+    if len(table) != len(wanted):
+        bad = sorted(wanted - table.keys())[0]
+        raise ValueError(f"pattern {bad} is not an increasing tuple of slots on [0, {g.cols})")
+    return table
 
 
 def verify_achievable(code, ch: Optional[ChannelModel] = None) -> VerificationResult:

@@ -22,10 +22,10 @@ simulated horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .channel import ErasurePattern, is_admissible
-from .decoder import check_pattern
+from .decoder import miss_table
 from .muxcode import MuxCode
 
 
@@ -122,15 +122,34 @@ def stream_encode(
     return [state.push(v_t, u_t) for v_t, u_t in messages]
 
 
+def _induced_keys(erased: Sequence[int], n: int, diagonals: range) -> Iterator[tuple[int, ...]]:
+    """Each diagonal's induced pattern, read off the sorted erasure tuple.
+
+    Two pointers bound the erasures inside the diagonal's n slots:
+    erased[lo:hi] lie in [d, d+n), re-indexed from d.  A sentinel slot past
+    the last diagonal's end stops both pointers without a length test.
+    """
+    erased = [*erased, diagonals.stop + n]
+    lo = hi = 0
+    for d in diagonals:
+        while erased[lo] < d:
+            lo += 1
+        while erased[hi] < d + n:
+            hi += 1
+        yield tuple([t - d for t in erased[lo:hi]]) if lo < hi else ()
+
+
 def simulate_stream(
     code: MuxCode, erasures: ErasurePattern, horizon: Optional[int] = None
 ) -> StreamReport:
     """Check every due symbol of every complete diagonal against its deadline.
 
     Decodability is a property of the induced intra-block pattern alone.
-    Each diagonal's pattern is read off the sorted erasure tuple as a key
-    (two pointers bound the erasures inside its n slots); a key not seen
-    before is decoded once, and its misses are cached.
+    A first pass collects the distinct induced patterns (keys); one
+    decoder.miss_table walk over their prefixes decodes them all.  Only
+    when some key misses a deadline does a second pass rebuild the keys
+    diagonal by diagonal and report the violations, in diagonal order.
+    Memory grows with the distinct keys, not with the horizon.
     """
     p = code.params
     if horizon is None:
@@ -140,31 +159,22 @@ def simulate_stream(
     ch = code.verification_channel()
     if not is_admissible(erasures, ch):
         raise ValueError(f"erasure sequence not admissible for (W={ch.W}, B={ch.B}, N={ch.N})")
-    deadlines = code.symbol_deadlines()
     erased, n = erasures.erased, p.n
-    cache: dict[tuple[int, ...], list] = {}  # induced pattern -> its missed symbols
-    violations: list[StreamViolation] = []
     diagonals = range(0, horizon - n + 1)
-    lo = hi = 0  # erased[lo:hi] are the erasures in the slots [d, d+n)
-    for d in diagonals:
-        while lo < hi and erased[lo] < d:
-            lo += 1
-        while hi < len(erased) and erased[hi] < d + n:
-            hi += 1
-        key = tuple(t - d for t in erased[lo:hi])
-        misses = cache.get(key)
-        if misses is None:
-            misses = cache[key] = check_pattern(code.G, ErasurePattern(n, key), deadlines).misses()
-        for miss in misses:
-            violations.append(
-                StreamViolation(
-                    slot=d + miss.deadline,
-                    diagonal=d,
-                    kind=miss.kind,
-                    index=miss.index,
-                    decode_slot=None if miss.decode_time is None else d + miss.decode_time,
-                    pattern_excerpt=key,
+    table = miss_table(code.G, code.symbol_deadlines(), _induced_keys(erased, n, diagonals))
+    violations: list[StreamViolation] = []
+    if any(table.values()):
+        for d, key in zip(diagonals, _induced_keys(erased, n, diagonals)):
+            for miss in table[key]:
+                violations.append(
+                    StreamViolation(
+                        slot=d + miss.deadline,
+                        diagonal=d,
+                        kind=miss.kind,
+                        index=miss.index,
+                        decode_slot=None if miss.decode_time is None else d + miss.decode_time,
+                        pattern_excerpt=key,
+                    )
                 )
-            )
     erased_in_horizon = sum(1 for t in erased if t < horizon)
     return StreamReport(horizon, len(diagonals), erased_in_horizon, tuple(violations))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from muxfec import codespec
+from muxfec import cli, codespec
 from muxfec.cli import main
 from muxfec.galois import PRIME_LIMIT
 from muxfec.muxcode import build_mux_code
@@ -173,6 +173,33 @@ def test_unwritable_output_path(capsys, spec_file, tmp_path, argv):
     payload = json.loads(err)
     assert payload["error"] == "usage" and str(target) in payload["detail"]
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("where", ["missing_parent", "directory"])
+def test_build_rejects_unusable_out_before_building(capsys, tmp_path, monkeypatch, where):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_mux_code ran before --out was checked")
+
+    monkeypatch.setattr(cli, "build_mux_code", no_build)
+    target = tmp_path / "missing" / "out.json" if where == "missing_parent" else tmp_path
+    rc, out, err = run_cli(capsys, "build", "--tv", "12", "--tu", "6", "--b", "4", "--n", "2",
+                           "--seed", "0", "--out", str(target))
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "usage" and str(target) in payload["detail"]
+
+
+def test_deeply_nested_spec_is_malformed(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    for text in ("[" * 100_000, '{"a": ' * 100_000):
+        deep.write_text(text)
+        with pytest.raises(ValueError, match="malformed code spec"):
+            codespec.load(deep)
+        for command in ("verify", "simulate", "dump"):
+            rc, out, err = run_cli(capsys, command, str(deep))
+            assert rc == 1 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "usage" and "malformed code spec" in payload["detail"]
 
 
 def test_rates_table_reproduction_csv(capsys):

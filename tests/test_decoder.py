@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from muxfec.decoder import (
     check_pattern,
     decode_message,
     earliest_decode_time,
+    miss_table,
     mux_deadlines,
     verify_achievable,
     verify_matrix,
@@ -294,3 +296,39 @@ def test_verifier_matches_bruteforce(request, name):
                 assert 1 <= result.patterns_checked <= len(brute)
             verdicts.append(result.passed)
     assert verdicts[0] and not all(verdicts)
+
+
+def _miss_table_variants(code):
+    """(matrix, deadlines): the code itself, a zeroed column, and T_u lowered by two."""
+    p, deadlines = code.params, code.symbol_deadlines()
+    zero = p.n - 3
+    data = tuple(0 if j % p.n == zero else e for j, e in enumerate(code.G.data))
+    tight = dataclasses.replace(code, params=dataclasses.replace(p, T_u=p.T_u - 2))
+    yield code.G, deadlines
+    yield Matrix(code.G.rows, p.n, code.field, data), deadlines
+    yield code.G, tight.symbol_deadlines()
+
+
+@pytest.mark.parametrize("name", ["example_code", "random_dominant_code"])
+def test_miss_table_matches_check_pattern(request, name):
+    """The prefix walk against check_pattern: every admissible pattern,
+    random subsets that are not prefix-closed, and an inadmissible key."""
+    code = request.getfixturevalue(name)
+    n = code.params.n
+    admissible = [p.erased for p in enumerate_admissible_patterns(n, code.verification_channel())]
+    rng = random.Random(3)
+    subsets = [admissible + [(0, 3, 6)]]
+    subsets += [rng.sample(admissible, 25) for _ in range(4)]
+    assert all(any(k and k[:-1] not in sub for k in sub) for sub in subsets[1:])
+    subsets += [[(0, 3, 6)], []]
+    missed = 0
+    for g, deadlines in _miss_table_variants(code):
+        for sub in subsets:
+            table = miss_table(g, deadlines, sub)
+            expect = {k: check_pattern(g, ErasurePattern(n, k), deadlines).misses() for k in sub}
+            assert table == expect
+            missed += sum(map(len, table.values()))
+    assert missed  # the variants do miss deadlines
+    for bad in [(3, 1)], [(2, 2)], [(n,)], [(-1,)]:
+        with pytest.raises(ValueError, match="increasing tuple"):
+            miss_table(code.G, code.symbol_deadlines(), bad)

@@ -172,25 +172,60 @@ def simulate_reference(code, erasures):
     return StreamReport(erasures.horizon, diagonals, len(erasures.erased), tuple(violations))
 
 
+def violating_variants(code):
+    """The code with column n-3 zeroed, and the code with T_u lowered by two."""
+    p = code.params
+    rows = [code.G.row(i) for i in range(code.G.rows)]
+    for row in rows:
+        row[p.n - 3] = 0  # a zeroed column delays whatever it carried
+    zeroed = dataclasses.replace(code, G=Matrix.from_rows(code.field, rows))
+    tight = dataclasses.replace(code, params=dataclasses.replace(p, T_u=p.T_u - 2))
+    return {"zeroed": zeroed, "tight": tight}
+
+
 def test_simulate_matches_per_diagonal_reference(example_code, random_dominant_code):
-    """The cached, pointer-based screen equals decoding every restricted
-    diagonal, also on codes that miss deadlines."""
+    """The prefix-walk screen equals decoding every restricted diagonal, also
+    on codes that miss deadlines: random sequences, horizons below and at n,
+    an erasure-free run and a burst of B at every offset."""
     for code in (example_code, random_dominant_code):
-        p = code.params
+        n, B = code.params.n, code.params.B
         ch = code.verification_channel()
-        rows = [code.G.row(i) for i in range(code.G.rows)]
-        for row in rows:
-            row[p.n - 3] = 0  # a zeroed column delays whatever it carried
-        zeroed = dataclasses.replace(code, G=Matrix.from_rows(code.field, rows))
-        tight = dataclasses.replace(code, params=dataclasses.replace(p, T_u=p.T_u - 2))
+        zeroed, tight = violating_variants(code).values()
+        sequences = [random_erasure_sequence(400, ch, seed=seed, erasure_prob=0.1)
+                     for seed in range(3)]
+        sequences += [ErasurePattern(n - 1), ErasurePattern(n, (1, 2)), ErasurePattern(3 * n)]
+        sequences += [ErasurePattern(3 * n, tuple(range(s, s + B))) for s in range(2 * n + 1)]
         for variant in (code, zeroed, tight):
-            for seed in range(3):
-                seq = random_erasure_sequence(400, ch, seed=seed, erasure_prob=0.1)
+            for seq in sequences:
                 assert simulate_stream(variant, seq) == simulate_reference(variant, seq)
         # the variants do miss deadlines, so violations are compared too
-        seq = random_erasure_sequence(400, ch, seed=0, erasure_prob=0.1)
-        assert simulate_stream(zeroed, seq).violations
-        assert simulate_stream(tight, seq).violations
+        assert simulate_stream(zeroed, sequences[0]).violations
+        assert simulate_stream(tight, sequences[0]).violations
+        assert simulate_stream(code, ErasurePattern(n - 1)).diagonals_checked == 0
+        assert simulate_stream(code, ErasurePattern(n)).diagonals_checked == 1
+
+
+# sha256 of json.dumps(simulate_stream(...).to_dict()) over a seeded 2000-slot
+# sequence, computed with the earlier simulate_stream that decoded each
+# distinct induced pattern with its own check_pattern call
+SIMULATE_SHA256 = {
+    ("example_code", "zeroed"): "9fa56c9c3937f406ce79a2b57a425af8236a0def2202b9831f09e61620a31105",
+    ("example_code", "tight"): "2f942f541db1826c2f31f5507f87f66c0ea30c034449be573ffa7a502b03350e",
+    ("random_dominant_code", "zeroed"):
+        "bceb5a839d4d31ebfb642e4227d9d6ab31a446b18db48eb63d14fe0b17728548",
+    ("random_dominant_code", "tight"):
+        "30e89c2a4fabfbbc0cef80f7f020607d5c49f245b1f147179cc205e18331fdae",
+}
+
+
+@pytest.mark.parametrize("name,variant", sorted(SIMULATE_SHA256))
+def test_simulate_report_pinned(request, name, variant):
+    code = request.getfixturevalue(name)
+    seq = random_erasure_sequence(2000, code.verification_channel(), seed=2024, erasure_prob=0.1)
+    report = simulate_stream(violating_variants(code)[variant], seq)
+    assert report.violations
+    digest = hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest()
+    assert digest == SIMULATE_SHA256[(name, variant)]
 
 
 def test_inadmissible_sequence_rejected(example_code):
