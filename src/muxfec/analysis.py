@@ -93,15 +93,10 @@ def fmt_decimal(x: Fraction, ndigits: int) -> str:
 
 @dataclass(frozen=True)
 class RateReport:
-    T_v: int
-    T_u: int
-    B: int
-    N: int
     capacity_v: Fraction
     capacity_u: Fraction
     mux_sum_rate: Fraction
     separate_sum_rate: Fraction
-    gain_percent: Fraction  # exact
 
     def display(self) -> dict:
         """Printed form: rates at 4 decimals, gain at 1 decimal.
@@ -121,35 +116,13 @@ class RateReport:
             "gain_percent": fmt_decimal(gain, 1),
         }
 
-    def to_dict(self, exact: bool = False) -> dict:
-        if exact:
-            return {
-                "T_v": self.T_v,
-                "T_u": self.T_u,
-                "B": self.B,
-                "N": self.N,
-                "capacity_v": str(self.capacity_v),
-                "capacity_u": str(self.capacity_u),
-                "mux_sum_rate": str(self.mux_sum_rate),
-                "separate_sum_rate": str(self.separate_sum_rate),
-                "gain_percent": str(self.gain_percent),
-            }
-        d = {"T_v": self.T_v, "T_u": self.T_u, "B": self.B, "N": self.N}
-        d.update(self.display())
-        return d
-
 
 def rate_report(T_v: int, T_u: int, B: int, N: int) -> RateReport:
     return RateReport(
-        T_v,
-        T_u,
-        B,
-        N,
         capacity(T_v, B, N),
         capacity(T_u, B, N),
         mux_sum_rate(T_v, B, N),
         separate_sum_rate(T_v, T_u, B, N),
-        gain_fraction(T_v, T_u, B, N) * 100,
     )
 
 

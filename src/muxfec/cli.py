@@ -27,6 +27,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser errors raise UsageError; add_subparsers gives subcommands this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -172,7 +179,7 @@ def _err(payload: dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="muxfec",
         description="Multiplexed streaming erasure codes: construction, verification, analysis.",
     )
@@ -222,13 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help and --version, which print to stdout
+        return 0
     except UsageError as exc:
         _err({"error": "usage", "detail": str(exc)})
         return 1

@@ -154,13 +154,18 @@ def _add_column(
             pending.discard(j)
 
 
-def _report(times: Sequence[Optional[int]], symbols: Sequence[SymbolDeadline]) -> DecodeReport:
-    """Decode times checked against the symbols' deadlines."""
+def _report(
+    times: Sequence[Optional[int]],
+    symbols: Sequence[SymbolDeadline],
+    values: Optional[dict[int, int]] = None,
+) -> DecodeReport:
+    """Decode times checked against deadlines; a decoded symbol's value is values[row], if given."""
     results = []
     for s in symbols:
         t = times[s.row]
         met = t is not None and t <= s.deadline
-        results.append(SymbolResult(s.kind, s.index, s.gen_time, s.deadline, t, met))
+        value = None if values is None or t is None else values[s.row]
+        results.append(SymbolResult(s.kind, s.index, s.gen_time, s.deadline, t, met, value))
     return DecodeReport(tuple(results))
 
 
@@ -185,10 +190,7 @@ def check_pattern(
 
 
 def decode_message(
-    g: Matrix,
-    received: Sequence,
-    p: ErasurePattern,
-    symbols: Optional[Sequence[SymbolDeadline]] = None,
+    g: Matrix, received: Sequence, p: ErasurePattern, symbols: Sequence[SymbolDeadline]
 ) -> DecodeReport:
     """Decode actual symbol values from a received sequence.
 
@@ -203,17 +205,9 @@ def decode_message(
     for t in range(g.cols):
         if (t in p) != (received[t] == ERASURE_MARK):
             raise ValueError(f"received sequence inconsistent with pattern at slot {t}")
-    if symbols is None:
-        symbols = block_deadlines(g.rows, g.cols, g.cols - 1)
     span = ColumnSpan(g.field, g.rows)
     times = _decode_times(span, (g.col(t) + [y] for t, y in enumerate(received)), p)
-    results = []
-    for s in symbols:
-        t = times[s.row]
-        value = None if t is None else span.basis[s.row][g.rows]
-        met = t is not None and t <= s.deadline
-        results.append(SymbolResult(s.kind, s.index, s.gen_time, s.deadline, t, met, value))
-    return DecodeReport(tuple(results))
+    return _report(times, symbols, {j: col[g.rows] for j, col in span.basis.items()})
 
 
 def _walk(

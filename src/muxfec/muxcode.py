@@ -37,6 +37,7 @@ from .singlecode import BASE_SPECIAL, EXTENSION_SPECIAL, BlockCode, build_single
 
 BURST_DOMINANT = "burst-dominant"
 RANDOM_DOMINANT = "random-dominant"
+MAX_ATTEMPTS = 64  # constituent pairs build_mux_code draws before it gives up
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def initial_prime(params: MuxParams) -> int:
     return next_prime(need)
 
 
-def build_mux_code(params: MuxParams, seed: int = 0, max_tries: int = 64) -> MuxCode:
+def build_mux_code(params: MuxParams, seed: int = 0) -> MuxCode:
     """Build both constituents, merge, and gate on the full verification.
 
     The less-urgent code g1 is sized k_v x (k_v+B) with its special entry
@@ -200,7 +201,7 @@ def build_mux_code(params: MuxParams, seed: int = 0, max_tries: int = 64) -> Mux
     """
     rng = random.Random(seed)
     last_failure = "no attempts made"
-    for q in field_sizes(initial_prime(params), max_tries):
+    for q in field_sizes(initial_prime(params), MAX_ATTEMPTS):
         s1 = rng.randrange(2**63)
         s2 = rng.randrange(2**63)
         try:
@@ -224,7 +225,7 @@ def build_mux_code(params: MuxParams, seed: int = 0, max_tries: int = 64) -> Mux
             continue
         return code
     raise RuntimeError(
-        f"mux-code search exhausted {max_tries} tries for "
+        f"mux-code search exhausted {MAX_ATTEMPTS} tries for "
         f"(T_v={params.T_v}, T_u={params.T_u}, B={params.B}, N={params.N}); "
         f"last failure: {last_failure}"
     )

@@ -5,12 +5,16 @@ started at slot d places its symbol j into lane j of the packet sent at
 slot d+j.  Message symbols feed the diagonals at their first codeword
 appearance (v-lane i of the message arriving at slot d+i becomes block
 coordinate v[i] of diagonal d; u-lane i arriving at slot d+h+i becomes
-u[i]), so encoding stays causal and every block deadline min(g+T, n-1)
-lands exactly g+T slots after the symbol arrived.  The encoder keeps each
-live diagonal as the unreduced (lo, hi) integer coordinates of its
-codeword so far, adds a symbol's row of G to them when the symbol arrives
-(Matrix.add_row), and reduces a lane to its display code once, when the
-packet carrying it is emitted.
+u[i]), so encoding stays causal.  A symbol with block generation time g
+arrives at slot d+g of diagonal d and is due at slot d + min(g+T, n-1):
+T slots after it arrived, or sooner where the clamp to the diagonal's
+last slot binds.  The clamp decides no verdict, since a block decode
+time never exceeds n-1, but it is the slot a violation reports.
+
+The encoder keeps each live diagonal as the unreduced (lo, hi) integer
+coordinates of its codeword so far, adds a symbol's row of G to them
+when the symbol arrives (Matrix.add_row), and reduces a lane to its
+display code once, when the packet carrying it is emitted.
 
 During warm-up only diagonals starting at slot 0 or later transmit, so
 the first n-1 packets are partially filled with zeros and message
@@ -31,7 +35,7 @@ from .muxcode import MuxCode
 
 @dataclass(frozen=True)
 class StreamViolation:
-    slot: int  # slot where the deadline expired
+    slot: int  # deadline slot d + min(g+T, n-1), clamped to the diagonal's last slot
     diagonal: int
     kind: str
     index: int
@@ -139,9 +143,7 @@ def _induced_keys(erased: Sequence[int], n: int, diagonals: range) -> Iterator[t
         yield tuple([t - d for t in erased[lo:hi]]) if lo < hi else ()
 
 
-def simulate_stream(
-    code: MuxCode, erasures: ErasurePattern, horizon: Optional[int] = None
-) -> StreamReport:
+def simulate_stream(code: MuxCode, erasures: ErasurePattern) -> StreamReport:
     """Check every due symbol of every complete diagonal against its deadline.
 
     Decodability is a property of the induced intra-block pattern alone.
@@ -151,16 +153,11 @@ def simulate_stream(
     diagonal by diagonal and report the violations, in diagonal order.
     Memory grows with the distinct keys, not with the horizon.
     """
-    p = code.params
-    if horizon is None:
-        horizon = erasures.horizon
-    if horizon > erasures.horizon:
-        raise ValueError("horizon exceeds erasure sequence length")
     ch = code.verification_channel()
     if not is_admissible(erasures, ch):
         raise ValueError(f"erasure sequence not admissible for (W={ch.W}, B={ch.B}, N={ch.N})")
-    erased, n = erasures.erased, p.n
-    diagonals = range(0, horizon - n + 1)
+    erased, n = erasures.erased, code.params.n
+    diagonals = range(0, erasures.horizon - n + 1)
     table = miss_table(code.G, code.symbol_deadlines(), _induced_keys(erased, n, diagonals))
     violations: list[StreamViolation] = []
     if any(table.values()):
@@ -176,5 +173,4 @@ def simulate_stream(
                         pattern_excerpt=key,
                     )
                 )
-    erased_in_horizon = sum(1 for t in erased if t < horizon)
-    return StreamReport(horizon, len(diagonals), erased_in_horizon, tuple(violations))
+    return StreamReport(erasures.horizon, len(diagonals), len(erased), tuple(violations))

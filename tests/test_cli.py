@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from muxfec import cli, codespec
+from muxfec import cli, codespec, muxcode
 from muxfec.cli import main
 from muxfec.galois import PRIME_LIMIT
 from muxfec.muxcode import build_mux_code
@@ -259,6 +259,78 @@ def test_rates_bad_channel(capsys):
     rc, _, err = run_cli(capsys, "rates", "--b", "2", "--n", "2",
                          "--tv-range", "12:12", "--tu-range", "6:6")
     assert rc == 1
+
+
+def usage_detail(rc, out, err) -> str:
+    """The detail of a usage error: exit 1, nothing on stdout, one JSON object on stderr."""
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "usage"
+    return payload["detail"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["build", "--tv", "abc"], "'abc'"),
+    (["build", "--tu", "6", "--b", "4", "--n", "2"], "--tv"),
+    (["verify"], "spec"),
+    (["rates", "--b", "9", "--n", "3", "--tv-range", "20:25", "--tu-range", "10:15",
+      "--csv", "--json"], "--csv"),
+], ids=["bad-int", "missing-tv", "verify-no-spec", "csv-and-json"])
+def test_argument_errors_are_json(capsys, argv, named):
+    detail = usage_detail(*run_cli(capsys, *argv))
+    assert detail.startswith(f"muxfec {argv[0]}: ") and named in detail
+
+
+def test_help_and_version_print_to_stdout(capsys):
+    rc, out, err = run_cli(capsys, "--version")
+    assert rc == 0 and out.startswith("muxfec ") and err == ""
+    rc, out, err = run_cli(capsys, "build", "--help")
+    assert rc == 0 and out.startswith("usage: muxfec build") and err == ""
+
+
+def test_env_seed_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MUXFEC_SEED", "abc")
+    rc, out, err = run_cli(capsys, "build", "--tv", "12", "--tu", "6", "--b", "4", "--n", "2")
+    assert usage_detail(rc, out, err) == "MUXFEC_SEED is not an integer: 'abc'"
+
+
+def test_rates_single_value_range(capsys):
+    argv = ["rates", "--b", "4", "--n", "2", "--tv-range", "12", "--tu-range", "6"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["tv_values"] == [12] and payload["tu_values"] == [6]
+    assert run_cli(capsys, *argv[:6], "12:12", "--tu-range", "6:6") == (0, out, "")
+
+
+@pytest.mark.parametrize("text", ["a:b", "1:2:3", ""])
+def test_rates_malformed_range(capsys, text):
+    rc, out, err = run_cli(capsys, "rates", "--b", "9", "--n", "3",
+                           "--tv-range", text, "--tu-range", "10:15")
+    assert usage_detail(rc, out, err) == f"bad range {text!r}, expected LO:HI"
+
+
+@pytest.mark.parametrize("w", ["4", "3"])
+def test_verify_window_must_exceed_burst(capsys, spec_file, w):
+    rc, out, err = run_cli(capsys, "verify", str(spec_file), "--w", w)
+    assert usage_detail(rc, out, err) == "--w must exceed B=4"
+
+
+def test_simulate_slots_below_codeword_length(capsys, spec_file):
+    rc, out, err = run_cli(capsys, "simulate", str(spec_file), "--slots", "13")
+    assert usage_detail(rc, out, err) == "--slots must be at least n=14"
+
+
+def test_build_search_exhausted_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(muxcode, "MAX_ATTEMPTS", 1)
+    target = tmp_path / "never.json"
+    rc, out, err = run_cli(capsys, "build", "--tv", "12", "--tu", "6", "--b", "4", "--n", "3",
+                           "--seed", "1", "--out", str(target))
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "verification"
+    assert "mux-code search exhausted 1 tries" in payload["detail"]
+    assert not target.exists()
 
 
 def test_dump_matrix(capsys, spec_file):

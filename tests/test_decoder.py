@@ -99,7 +99,8 @@ def test_round_trip_empty_pattern_matches_substitution_oracle(single_code):
     for _ in range(100):
         msg = [rng.randrange(single_code.field.q) for _ in range(single_code.k)]
         word = single_code.encode(msg)
-        report = decode_message(single_code.G, word, p)
+        g = single_code.G
+        report = decode_message(g, word, p, block_deadlines(g.rows, g.cols, g.cols - 1))
         assert [s.value for s in report.symbols] == msg
         assert sequential_substitution(single_code.G, word) == msg
         # v-prefix decode happens at generation times
@@ -126,9 +127,11 @@ def test_round_trip_all_pattern_families(example_code):
 
 
 def test_received_consistency_checked(example_code):
+    g = example_code.G
     word = example_code.encode([1] * 5, [1] * 5)
     with pytest.raises(ValueError):
-        decode_message(example_code.G, word, ErasurePattern(14, (0,)))
+        decode_message(g, word, ErasurePattern(14, (0,)),
+                       block_deadlines(g.rows, g.cols, g.cols - 1))
 
 
 def test_decode_monotonic_in_erasures(example_code):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muxfec import codespec
+from muxfec import codespec, muxcode
 from muxfec.decoder import verify_achievable
 from muxfec.galois import field_spec
 from muxfec.linalg import is_mds
@@ -243,11 +243,12 @@ def test_tu_prime_never_increases_ku(tv, tu, b, n, delta):
     assert p_small.k_u <= p_full.k_u
 
 
-def test_build_exhaustion_reports_failure():
+def test_build_exhaustion_reports_failure(monkeypatch):
     # an unbuildable setup: single attempt at the smallest field
+    monkeypatch.setattr(muxcode, "MAX_ATTEMPTS", 1)
     p = select_parameters(12, 6, 4, 3)
     with pytest.raises(RuntimeError, match="last failure"):
-        build_mux_code(p, seed=1, max_tries=1)
+        build_mux_code(p, seed=1)
 
 
 def test_merge_identity_random_dominant(random_dominant_code):

@@ -240,11 +240,3 @@ def test_report_serialization(example_code):
     assert d["passed"] is True
     assert d["slots"] == 50
     assert d["violations"] == []
-
-
-def test_horizon_clamp(example_code):
-    seq = ErasurePattern(100)
-    report = simulate_stream(example_code, seq, horizon=50)
-    assert report.slots == 50
-    with pytest.raises(ValueError):
-        simulate_stream(example_code, seq, horizon=101)
