@@ -27,7 +27,7 @@ def main():
     code = build_mux_code(params, seed=seed)
     print(f"built over GF({code.field.q}^2) in {time.time() - t0:.2f}s")
 
-    rates = rate_report(12, 6, 4, 2).display()
+    rates = rate_report(12, 6, 4, 2)
     print(f"sum rate {rates['mux_sum_rate']} vs separate {rates['separate_sum_rate']} "
           f"(+{rates['gain_percent']}%)")
 

@@ -31,7 +31,6 @@ from .muxcode import (
 )
 from .decoder import DecodeReport, decode_message, earliest_decode_time, verify_achievable
 from .analysis import (
-    RateReport,
     capacity,
     case_m_small_bound,
     gain_table,
@@ -50,7 +49,6 @@ __all__ = [
     "Matrix",
     "MuxCode",
     "MuxParams",
-    "RateReport",
     "apply_erasure",
     "build_mux_code",
     "build_single_code",

@@ -91,39 +91,24 @@ def fmt_decimal(x: Fraction, ndigits: int) -> str:
     return f"{sign}{whole}.{frac:0{ndigits}d}" if ndigits else f"{sign}{whole}"
 
 
-@dataclass(frozen=True)
-class RateReport:
-    capacity_v: Fraction
-    capacity_u: Fraction
-    mux_sum_rate: Fraction
-    separate_sum_rate: Fraction
+def rate_report(T_v: int, T_u: int, B: int, N: int) -> dict:
+    """Printed rates: capacities and sum rates at 4 decimals, gain at 1 decimal.
 
-    def display(self) -> dict:
-        """Printed form: rates at 4 decimals, gain at 1 decimal.
-
-        The displayed gain is recomputed from the two 4-decimal rates so
-        the printed numbers stay mutually consistent, then rounded half-up
-        through 2 decimals to 1.
-        """
-        mux4 = round_half_up(self.mux_sum_rate, 4)
-        sep4 = round_half_up(self.separate_sum_rate, 4)
-        gain = round_half_up(round_half_up((mux4 - sep4) / sep4 * 100, 2), 1)
-        return {
-            "capacity_v": fmt_decimal(self.capacity_v, 4),
-            "capacity_u": fmt_decimal(self.capacity_u, 4),
-            "mux_sum_rate": fmt_decimal(self.mux_sum_rate, 4),
-            "separate_sum_rate": fmt_decimal(self.separate_sum_rate, 4),
-            "gain_percent": fmt_decimal(gain, 1),
-        }
-
-
-def rate_report(T_v: int, T_u: int, B: int, N: int) -> RateReport:
-    return RateReport(
-        capacity(T_v, B, N),
-        capacity(T_u, B, N),
-        mux_sum_rate(T_v, B, N),
-        separate_sum_rate(T_v, T_u, B, N),
-    )
+    The displayed gain is recomputed from the two 4-decimal rates so the
+    printed numbers stay mutually consistent, then rounded half-up
+    through 2 decimals to 1.
+    """
+    cap_v, cap_u = capacity(T_v, B, N), capacity(T_u, B, N)
+    mux, sep = mux_sum_rate(T_v, B, N), separate_sum_rate(T_v, T_u, B, N)
+    mux4, sep4 = round_half_up(mux, 4), round_half_up(sep, 4)
+    gain = round_half_up(round_half_up((mux4 - sep4) / sep4 * 100, 2), 1)
+    return {
+        "capacity_v": fmt_decimal(cap_v, 4),
+        "capacity_u": fmt_decimal(cap_u, 4),
+        "mux_sum_rate": fmt_decimal(mux, 4),
+        "separate_sum_rate": fmt_decimal(sep, 4),
+        "gain_percent": fmt_decimal(gain, 1),
+    }
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,9 @@ def cmd_build(args) -> int:
         "q": code.field.q,
         "seed": seed,
         "sum_rate": f"{params.k_v + params.k_u}/{params.n}",
-        "sum_rate_decimal": rates.display()["mux_sum_rate"],
-        "separate_rate_decimal": rates.display()["separate_sum_rate"],
-        "gain_percent": rates.display()["gain_percent"],
+        "sum_rate_decimal": rates["mux_sum_rate"],
+        "separate_rate_decimal": rates["separate_sum_rate"],
+        "gain_percent": rates["gain_percent"],
         "spec_file": args.out,
     }
     print(json.dumps(report, indent=1))

@@ -58,11 +58,6 @@ class Matrix:
     def col(self, j: int) -> list[int]:
         return [self.data[i * self.cols + j] for i in range(self.rows)]
 
-    def take_cols(self, cols: Iterable[int]) -> "Matrix":
-        cols = list(cols)
-        data = tuple(self.data[i * self.cols + j] for i in range(self.rows) for j in cols)
-        return Matrix(self.rows, len(cols), self.field, data)
-
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "Matrix":
         rows, cols = list(rows), list(cols)
         data = tuple(self.data[i * self.cols + j] for i in rows for j in cols)
@@ -73,7 +68,7 @@ class Matrix:
         """Per row, (j, *FieldSpec.mul_map(e)) for each nonzero entry e at column j.
 
         Built on the first add_row, not with the matrix: most matrices
-        (take_cols, submatrix, is_mds blocks) never encode.
+        (submatrix, is_mds blocks) never encode.
         """
         mul_map = self.field.mul_map
         return tuple(

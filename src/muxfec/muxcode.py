@@ -146,7 +146,7 @@ class MuxCode:
     def left_mds_sub(self) -> Matrix:
         """The left (T_v-2N+2) x (T_v-N+1) submatrix, MDS in the burst regime."""
         p = self.params
-        return self.G.take_cols(range(p.T_v - p.N + 1))
+        return self.G.submatrix(range(self.G.rows), range(p.T_v - p.N + 1))
 
     def encode(self, v: Sequence[int], u: Sequence[int]) -> list[int]:
         p = self.params

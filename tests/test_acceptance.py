@@ -47,8 +47,7 @@ def test_criterion_1_example_reproduction():
     assert params.n == 14
     assert params.k_v == 5 and params.k_u == 5
     assert code.sum_rate == Fraction(10, 14)
-    rates = rate_report(12, 6, 4, 2)
-    disp = rates.display()
+    disp = rate_report(12, 6, 4, 2)
     assert disp["mux_sum_rate"] == "0.7143"
     assert disp["separate_sum_rate"] == "0.6444"
     assert disp["gain_percent"] == "10.9"

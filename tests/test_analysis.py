@@ -114,12 +114,11 @@ def test_separate_rate_degenerate_convexity():
 
 
 def test_example_report_display(example_code):
-    r = rate_report(12, 6, 4, 2)
-    disp = r.display()
+    disp = rate_report(12, 6, 4, 2)
     assert disp["mux_sum_rate"] == "0.7143"
     assert disp["separate_sum_rate"] == "0.6444"
     assert disp["gain_percent"] == "10.9"
-    assert r.mux_sum_rate == example_code.sum_rate
+    assert mux_sum_rate(12, 4, 2) == example_code.sum_rate
 
 
 def test_gain_table_reproduction():

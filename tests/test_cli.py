@@ -153,6 +153,27 @@ def test_spec_entries_must_be_int(capsys, spec_file, tmp_path, key, index, value
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("edit,reason", [
+    (lambda d: {**d, "matrix": [d["q"] ** 2] + d["matrix"][1:]}, "entry out of field range"),
+    (lambda d: {**d, "matrix": [-1] + d["matrix"][1:]}, "entry out of field range"),
+    (lambda d: {**d, "matrix": d["matrix"][:-1]}, "entry count does not match"),
+    (lambda d: {**d, "ext_poly": [d["q"], d["ext_poly"][1]]}, "must be reduced mod q"),
+    (lambda d: {**d, "ext_poly": [0, 0]}, "not irreducible"),
+    (lambda d: {**d, "q": 15}, "q must be prime"),
+    (lambda d: {**d, "W": d["T_v"]}, "need W > T_v"),
+    (lambda d: {**d, "N": 0}, "need N >= 1"),
+    (lambda d: {**d, "T_u_prime": d["T_u"] + 1}, "need B < T_u_prime <= T_u"),
+], ids=["entry-too-large", "entry-negative", "entry-missing", "ext-poly-unreduced",
+        "ext-poly-reducible", "q-composite", "w-equals-tv", "n-zero", "tu-prime-above-tu"])
+def test_verify_rejects_invalid_spec_values(capsys, spec_file, tmp_path, edit, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(spec_file.read_text()))))
+    rc, out, err = run_cli(capsys, "verify", str(bad))
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "usage" and reason in payload["detail"]
+
+
 def test_verify_report_file(capsys, spec_file, tmp_path):
     report = tmp_path / "report.json"
     rc, out, _ = run_cli(capsys, "verify", str(spec_file), "--report", str(report), "--jobs", "1")

@@ -106,9 +106,10 @@ def test_solve_for_unit_example_pattern(example_code):
     # the urgent stream's first symbol is solvable
     g = example_code.G
     cols = [t for t in range(12) if t not in (0, 5)]
-    h = solve_for_unit(g.take_cols(cols), example_code.params.k_v)
+    sub = g.submatrix(range(g.rows), cols)
+    h = solve_for_unit(sub, example_code.params.k_v)
     assert h is not None
-    assert times_vector(g.take_cols(cols), h) == unit(g.rows, example_code.params.k_v)
+    assert times_vector(sub, h) == unit(g.rows, example_code.params.k_v)
 
 
 def test_is_mds_identity_and_zero_column():
@@ -137,7 +138,7 @@ def test_is_mds_matches_rank_definition():
         c = rng.randint(r, 5)
         m = Matrix(r, c, GF5, tuple(rng.randrange(5) for _ in range(r * c)))
         by_rank = all(
-            rank(m.take_cols(sel)) == r for sel in itertools.combinations(range(c), r)
+            rank(m.submatrix(range(r), sel)) == r for sel in itertools.combinations(range(c), r)
         )
         assert is_mds(m) == by_rank
         assert is_mds(m) == is_mds_bruteforce(codes_to_pairs(m), GF5.q, GF5.c1, GF5.c0)

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from muxfec.linalg import Matrix, is_mds
 from muxfec.singlecode import (
     BASE_SPECIAL,
     EXTENSION_SPECIAL,
+    _draw_matrix,
     build_single_code,
     special_position,
     verify_single_structure,
@@ -49,13 +52,10 @@ def test_achievable_with_window_seven(code_956):
 def test_structure_report_all_true(code_956):
     report = verify_single_structure(code_956)
     assert report.passed
-    assert report.to_dict() == {
-        "triangular_prefix": True,
+    assert dataclasses.asdict(report) == {
         "g1_mds": True,
         "g2_mds": True,
         "special_field_ok": True,
-        "rate_ok": True,
-        "passed": True,
     }
 
 
@@ -94,15 +94,38 @@ def test_variant_controls_special_membership():
     assert all(base.field.is_base(e) for e in base.G.data)
 
 
+def test_draw_matches_template():
+    # the invariants verify_single_structure does not check, entry by entry
+    for T, B, N, variant, q, seed in itertools.product(
+        range(2, 11), range(2, 11), range(1, 10), (BASE_SPECIAL, EXTENSION_SPECIAL),
+        (2, 3, 7, 101), range(3),
+    ):
+        if not T >= B > N:
+            continue
+        f = field_spec(q)
+        g = _draw_matrix(f, T, B, N, variant, random.Random(seed))
+        k, n = T - N + 1, T - N + 1 + B
+        assert (g.rows, g.cols) == (k, n)
+        special = special_position(T, B, N)
+        for i, c in itertools.product(range(k), range(n)):
+            e = g.entry(i, c)
+            if c <= i:
+                assert e == (c == i)
+            elif (i, c) == special:
+                assert f.is_base(e) == (variant == BASE_SPECIAL) and e != 0
+            elif i <= B - N and c >= B and c != i + T:
+                assert e == 0  # the gap before, and the zeros after, the rescue entry
+            else:
+                assert f.is_base(e) and e != 0
+
+
 def test_special_position_rules():
     assert special_position(6, 4, 2) == (1, 7)   # row N-1, column T+N-1
     assert special_position(6, 4, 3) == (2, 7)   # B < 2N-1: last column
     assert special_position(7, 4, 3) == (2, 8)
 
 
-def test_triangular_prefix_sequential_decode(code_956):
-    import random
-
+def test_unit_triangular_sequential_decode(code_956):
     from oracles import sequential_substitution
 
     rng = random.Random(0)
@@ -138,7 +161,7 @@ def test_fixed_field_respected():
 
 def test_exhaustion_reports_failing_property():
     # q=5 is far too small for the (9,5,6) structure; the search must fail loudly
-    with pytest.raises(RuntimeError, match="last failure"):
+    with pytest.raises(RuntimeError, match="last failure: structure check failed: g2_mds$"):
         build_single_code(6, 4, 2, seed=0, q=5, max_tries=4)
 
 
