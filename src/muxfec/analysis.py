@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .muxcode import select_parameters
 
@@ -16,6 +16,13 @@ from .muxcode import select_parameters
 def _check_channel(B: int, N: int):
     if not B > N >= 1:
         raise ValueError(f"need B > N >= 1, got B={B} N={N}")
+
+
+def _check_merged(T_v: int, B: int, N: int):
+    """The merged rates need T_v > T_u + B for some T_u > B, that is T_v >= 2B+2."""
+    _check_channel(B, N)
+    if T_v < 2 * B + 2:
+        raise ValueError(f"need T_v > T_u + B with T_u > B, got T_v={T_v} B={B}")
 
 
 def capacity(T: int, B: int, N: int) -> Fraction:
@@ -32,9 +39,7 @@ def mux_sum_rate(T_v: int, B: int, N: int) -> Fraction:
     max((T_v-2N+2)/(T_v-2N+2+B), (T_v-B+1)/(T_v+1)); the first branch
     attains the max exactly when B >= 2N-1 (they tie at B = 2N-1).
     """
-    _check_channel(B, N)
-    if T_v < 2 * B + 2:
-        raise ValueError(f"need T_v > T_u + B with T_u > B, got T_v={T_v} B={B}")
+    _check_merged(T_v, B, N)
     burst = Fraction(T_v - 2 * N + 2, T_v - 2 * N + 2 + B)
     rand = Fraction(T_v - B + 1, T_v + 1)
     return max(burst, rand)
@@ -46,9 +51,7 @@ def case_m_small_bound(T_v: int, B: int, N: int) -> Fraction:
     (T_v-2N+3)/(T_v-3N+4+2B); strictly below mux_sum_rate in both
     regimes.
     """
-    _check_channel(B, N)
-    if T_v < 2 * B + 2:
-        raise ValueError(f"need T_v > T_u + B with T_u > B, got T_v={T_v} B={B}")
+    _check_merged(T_v, B, N)
     return Fraction(T_v - 2 * N + 3, T_v - 3 * N + 4 + 2 * B)
 
 
@@ -140,43 +143,34 @@ class GainTable:
         return self.cells[i * len(self.tu_values) + j]
 
     def to_csv(self, exact: bool = False) -> str:
+        """One row per T_v: the gain cells, C(T_v, B, N) and the merged bound,
+        each empty where undefined (outside the regime, T_v < B, T_v < 2B+2)."""
+        rate = _rate_format(exact)
         lines = ["T_v/T_u," + ",".join(str(t) for t in self.tu_values) + ",capacity_v,sum_rate_bound"]
         for tv in self.tv_values:
             row = [str(tv)]
             for tu in self.tu_values:
                 c = self.cell(tv, tu)
-                if c.gain_percent is None:
-                    row.append("")
-                elif exact:
-                    row.append(str(c.gain_percent))
-                else:
-                    row.append(c.printed())
-            cap = capacity(tv, self.B, self.N)
-            bound = mux_sum_rate(tv, self.B, self.N)
-            if exact:
-                row += [str(cap), str(bound)]
-            else:
-                row += [fmt_decimal(cap, 4), fmt_decimal(bound, 4)]
+                row.append(str(c.gain_percent) if exact and c.gain_percent is not None else c.printed())
+            for x in (_where_defined(capacity, tv, self.B, self.N),
+                      _where_defined(mux_sum_rate, tv, self.B, self.N)):
+                row.append("" if x is None else rate(x))
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
     def to_dict(self, exact: bool = False) -> dict:
-        cells = []
-        for c in self.cells:
-            if c.gain_percent is None:
-                continue
-            entry: dict = {"T_v": c.T_v, "T_u": c.T_u}
-            if exact:
-                entry["gain_percent"] = str(c.gain_percent)
-                entry["mux_sum_rate"] = str(mux_sum_rate(c.T_v, self.B, self.N))
-                entry["separate_sum_rate"] = str(separate_sum_rate(c.T_v, c.T_u, self.B, self.N))
-            else:
-                entry["gain_percent"] = float(c.printed())
-                entry["mux_sum_rate"] = fmt_decimal(mux_sum_rate(c.T_v, self.B, self.N), 4)
-                entry["separate_sum_rate"] = fmt_decimal(
-                    separate_sum_rate(c.T_v, c.T_u, self.B, self.N), 4
-                )
-            cells.append(entry)
+        rate = _rate_format(exact)
+        cells = [
+            {
+                "T_v": c.T_v,
+                "T_u": c.T_u,
+                "gain_percent": str(c.gain_percent) if exact else float(c.printed()),
+                "mux_sum_rate": rate(mux_sum_rate(c.T_v, self.B, self.N)),
+                "separate_sum_rate": rate(separate_sum_rate(c.T_v, c.T_u, self.B, self.N)),
+            }
+            for c in self.cells
+            if c.gain_percent is not None
+        ]
         return {
             "B": self.B,
             "N": self.N,
@@ -184,6 +178,19 @@ class GainTable:
             "tu_values": list(self.tu_values),
             "cells": cells,
         }
+
+
+def _rate_format(exact: bool) -> Callable[[Fraction], str]:
+    """How a table prints a rate: the exact p/q, or 4 decimals."""
+    return str if exact else (lambda x: fmt_decimal(x, 4))
+
+
+def _where_defined(rate: Callable[..., Fraction], *args: int) -> Optional[Fraction]:
+    """rate(*args), or None where its own precondition rejects the arguments."""
+    try:
+        return rate(*args)
+    except ValueError:
+        return None
 
 
 def gain_table(B: int, N: int, tv_range: range, tu_range: range) -> GainTable:

@@ -198,13 +198,18 @@ def decode_message(
     enters the span.  Since received = x . G is linear, the basis column
     that becomes e_j carries x_j in that extra entry, and keeps it as
     later columns arrive.  Symbols that never decode are still reported
-    (no early abort), to support falsification tests.
+    (no early abort), to support falsification tests.  A received symbol
+    must be a display code: an int (not a bool) in [0, q^2).
     """
     if len(received) != g.cols:
         raise ValueError("received length must equal codeword length")
-    for t in range(g.cols):
-        if (t in p) != (received[t] == ERASURE_MARK):
+    order = g.field.order
+    for t, y in enumerate(received):
+        erased = t in p
+        if erased != (y == ERASURE_MARK):
             raise ValueError(f"received sequence inconsistent with pattern at slot {t}")
+        if not erased and not (type(y) is int and 0 <= y < order):
+            raise ValueError(f"received symbol at slot {t} is not a display code: {y!r}")
     span = ColumnSpan(g.field, g.rows)
     times = _decode_times(span, (g.col(t) + [y] for t, y in enumerate(received)), p)
     return _report(times, symbols, {j: col[g.rows] for j, col in span.basis.items()})

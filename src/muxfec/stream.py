@@ -5,7 +5,8 @@ started at slot d places its symbol j into lane j of the packet sent at
 slot d+j.  Message symbols feed the diagonals at their first codeword
 appearance (v-lane i of the message arriving at slot d+i becomes block
 coordinate v[i] of diagonal d; u-lane i arriving at slot d+h+i becomes
-u[i]), so encoding stays causal.  A symbol with block generation time g
+u[i]: the generation times of decoder.mux_deadlines), so encoding stays
+causal.  A symbol with block generation time g
 arrives at slot d+g of diagonal d and is due at slot d + min(g+T, n-1):
 T slots after it arrived, or sooner where the clamp to the diagonal's
 last slot binds.  The clamp decides no verdict, since a block decode
@@ -93,6 +94,12 @@ class StreamState:
     clock: int = 0
     # start slot -> (lo, hi) of its codeword so far
     diagonals: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
+    # message lane (v lanes, then u lanes) -> (row of G, generation time):
+    # the lane's symbol at slot t is that row's coordinate of diagonal t - gen_time
+    routes: list[tuple[int, int]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.routes = [(s.row, s.gen_time) for s in self.code.symbol_deadlines()]
 
     def push(self, v_t: Sequence[int], u_t: Sequence[int]) -> list[int]:
         """Consume one slot's message symbols and emit one packet."""
@@ -103,10 +110,8 @@ class StreamState:
         g, f, diagonals = self.code.G, self.code.field, self.diagonals
         order = f.order
         diagonals[t] = ([0] * p.n, [0] * p.n)
-        # v-lane i feeds row i of diagonal t-i, u-lane i row k_v+i of diagonal t-h-i
-        lanes = [(t - i, i, sym % order) for i, sym in enumerate(v_t)]
-        lanes += [(t - p.h - i, p.k_v + i, sym % order) for i, sym in enumerate(u_t)]
-        for d, row, c in lanes:
+        for (row, gen_time), sym in zip(self.routes, [*v_t, *u_t]):
+            c, d = sym % order, t - gen_time
             if c and d in diagonals:
                 g.add_row(*diagonals[d], row, c)
         packet = [0] * p.n

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from muxfec import cli, codespec, muxcode
 from muxfec.cli import main
@@ -269,6 +274,29 @@ def test_rates_empty_cell_regime_boundary(capsys):
     assert out.strip().split("\n")[1].startswith("10,,")
 
 
+@pytest.mark.parametrize("b,n,tv_lo,tv_hi,tu_range,flags", [
+    (4, 2, 9, 12, "5:6", ["--csv"]),
+    (9, 3, 5, 25, "10:15", ["--csv", "--exact"]),
+], ids=["decimal", "exact"])
+def test_rates_csv_leaves_undefined_rates_empty(capsys, b, n, tv_lo, tv_hi, tu_range, flags):
+    """capacity_v needs T_v >= B and sum_rate_bound T_v >= 2B+2; elsewhere the field is empty."""
+    def csv_lines(tv_range):
+        rc, out, err = run_cli(capsys, "rates", "--b", str(b), "--n", str(n),
+                               "--tv-range", tv_range, "--tu-range", tu_range, *flags)
+        assert rc == 0 and err == ""
+        return out.splitlines()
+
+    header, *rows = csv_lines(f"{tv_lo}:{tv_hi}")
+    assert header.endswith(",capacity_v,sum_rate_bound")
+    assert [row.split(",")[0] for row in rows] == [str(tv) for tv in range(tv_lo, tv_hi + 1)]
+    for tv, row in zip(range(tv_lo, tv_hi + 1), rows):
+        *_, cap, bound = row.split(",")
+        assert (cap == "") == (tv < b) and (bound == "") == (tv < 2 * b + 2)
+    # the rows where every rate is defined are the table of that range alone
+    lo = 2 * b + 2
+    assert [header, *rows[lo - tv_lo:]] == csv_lines(f"{lo}:{tv_hi}")
+
+
 def test_rates_bad_range(capsys):
     rc, out, err = run_cli(capsys, "rates", "--b", "9", "--n", "3",
                            "--tv-range", "25:20", "--tu-range", "10:15")
@@ -427,3 +455,71 @@ def test_random_dominant_spec_round_trip(capsys, tmp_path):
     assert rebuilt.G == code.G
     rc, stdout, _ = run_cli(capsys, "verify", str(out), "--jobs", "1")
     assert rc == 0 and json.loads(stdout)["passed"]
+
+
+def run_quiet(*argv):
+    """cli.main with its own stdout/stderr buffers (hypothesis rejects capsys)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(rc, out, err, data_codes):
+    """Data on stdout for the exit codes in data_codes; else exit 1 with one JSON usage error."""
+    if rc in data_codes:
+        assert out and err == ""
+    else:
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "usage"
+
+
+def span(lo: int, hi: int):
+    """A LO:HI range argument, reversed (a usage error) now and then."""
+    return st.builds(lambda a, w: f"{a}:{a + w}", st.integers(lo, hi), st.integers(-1, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    b=st.integers(0, 6),
+    n=st.integers(0, 4),
+    tv=span(-2, 20),
+    tu=span(-2, 12),
+    fmt=st.sampled_from([[], ["--json"], ["--csv"]]),
+    exact=st.booleans(),
+)
+@example(b=4, n=2, tv="9:12", tu="5:6", fmt=["--csv"], exact=False)
+def test_rates_fuzz_exits_cleanly(b, n, tv, tu, fmt, exact):
+    """T_v and T_u ranges reach below B, where the gain and the bound are undefined."""
+    rc, out, err = run_quiet("rates", "--b", str(b), "--n", str(n), "--tv-range", tv,
+                             "--tu-range", tu, *fmt, *(["--exact"] if exact else []))
+    assert_clean_exit(rc, out, err, {0})
+    if rc == 0 and "--csv" not in fmt:
+        assert set(json.loads(out)) == {"B", "N", "tv_values", "tu_values", "cells"}
+
+
+JUNK = [None, True, False, -1, -(2**70), 2**70, 0.5, "7", [1], {"a": 1}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_fuzz_mutated_spec_exits_cleanly(spec_file, data):
+    """Drop a key, or set a key or one matrix entry to junk: exit 0/2 with a report, or 1."""
+    d = json.loads(spec_file.read_text())
+    key = data.draw(st.sampled_from(sorted(d)), label="key")
+    action = data.draw(st.sampled_from(["drop", "set", "entry"]), label="action")
+    junk = data.draw(st.sampled_from(JUNK), label="junk")
+    if action == "drop":
+        del d[key]
+    elif action == "set":
+        d[key] = junk
+    else:
+        d["matrix"][data.draw(st.integers(0, len(d["matrix"]) - 1), label="index")] = junk
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
+        rc, out, err = run_quiet("verify", path)
+    assert_clean_exit(rc, out, err, {0, 2})
+    if rc in (0, 2):
+        assert json.loads(out)["passed"] is (rc == 0)

@@ -134,6 +134,18 @@ def test_received_consistency_checked(example_code):
                        block_deadlines(g.rows, g.cols, g.cols - 1))
 
 
+def test_decode_rejects_received_symbols_outside_the_field(example_code):
+    """A non-erased entry must be an int display code in [0, q^2); a bool is not an int."""
+    g = example_code.G
+    p = ErasurePattern(14, (0, 1))
+    word = apply_erasure(example_code.encode([1] * 5, [2] * 5), p)
+    for bad in (-1, example_code.field.order, 2.5, True, None, "x"):
+        received = list(word)
+        received[5] = bad
+        with pytest.raises(ValueError, match="slot 5 is not a display code"):
+            decode_message(g, received, p, example_code.symbol_deadlines())
+
+
 def test_decode_monotonic_in_erasures(example_code):
     """Removing an erasure never delays any symbol."""
     rng = random.Random(17)

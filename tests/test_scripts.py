@@ -21,9 +21,3 @@ def test_run_workflow_script():
     assert "all met: True" in out
     assert "violations=0" in out
 
-
-def test_gain_sweep_script():
-    out = run_script("scripts/gain_sweep.py")
-    lines = out.splitlines()
-    assert lines[0].split()[0] == "T_v/T_u"
-    assert [line.split()[0] for line in lines[1:]] == [str(tv) for tv in range(20, 26)]

@@ -8,6 +8,7 @@ import pytest
 from muxfec.channel import ErasurePattern, is_admissible, random_erasure_sequence
 from muxfec.decoder import check_pattern, verify_achievable
 from muxfec.linalg import Matrix
+from muxfec.muxcode import build_mux_code, select_parameters
 from muxfec.stream import (
     StreamReport,
     StreamState,
@@ -47,10 +48,17 @@ def test_single_nonzero_message_traces_one_diagonal(example_code):
     assert nonzero == expect
 
 
-def test_packet_values_match_block_encoding(example_code, random_dominant_code):
+@pytest.fixture(scope="module")
+def short_urgent_code():
+    """(12, 6, 4, 2) with T_u' = 5 < T_u: k_v = 6, k_u = 4, h = 6."""
+    return build_mux_code(select_parameters(12, 6, 4, 2, T_u_prime=5), seed=0)
+
+
+def test_packet_values_match_block_encoding(example_code, random_dominant_code,
+                                            short_urgent_code):
     """Each complete diagonal carries the block encoding of the message
     symbols it collected across slots."""
-    for code in (example_code, random_dominant_code):
+    for code in (example_code, random_dominant_code, short_urgent_code):
         p = code.params
         rng = random.Random(5)
         slots = p.n * 3
