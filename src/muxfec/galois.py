@@ -3,10 +3,12 @@
 Elements of GF(q^2) are residues lo + hi*x of GF(q)[x] modulo a monic
 irreducible quadratic x^2 + c1*x + c0.  The base field embeds as the
 elements with hi = 0.  An element is held as its integer display code
-hi*q + lo (also the matrix dump format).  Arithmetic on codes goes
-through the methods of :class:`FieldSpec`; the encoding kernel instead
-works on unreduced (lo, hi) coordinates, with the multiplication map
-from :meth:`FieldSpec.mul_map` and one reduction by :meth:`FieldSpec.code`.
+hi*q + lo (also the matrix dump format).  Arithmetic on single codes
+goes through the methods of :class:`FieldSpec`.  The two hot kernels of
+linalg call none of them per entry: they work on (lo, hi) coordinates
+through the multiplication map of :meth:`FieldSpec.mul_map`.  The
+encoding kernel packs that map into big ints and reduces each output
+symbol once, and ColumnSpan inlines it in its row operations.
 """
 
 from __future__ import annotations

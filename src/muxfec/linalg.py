@@ -1,16 +1,19 @@
 """Dense exact linear algebra over GF(q^2).
 
 Matrices store their entries as integer display codes (see galois) in a
-flat row-major tuple.  The one encoding kernel is Matrix.add_row
-((lo, hi) += c . row i): it accumulates a codeword as two lists of
-unreduced integers, the GF(q) coordinates of 1 and x, and calls no field
-method per entry.  vec_mul and the stream encoder both accumulate with
-it and reduce each output symbol once, with FieldSpec.code.  The one
-elimination is ColumnSpan, whose arithmetic goes through the FieldSpec
-code methods.  It grows a fully reduced column basis with first-nonzero
-pivoting: deterministic, and with no stability considerations in an
-exact field.  rank, is_mds and the decoder's unit-vector membership and
-value recovery all rest on it.
+flat row-major tuple.  The one encoding kernel is Matrix.packed_rows: a
+codeword is one int packing the unreduced GF(q) coordinates of 1 and x
+of each symbol in fixed-width bit fields, and a symbol a0 + a1*q adds
+a0*P0 + a1*P1 of its row, two big-int multiplies with no loop over the
+entries.  vec_mul and the stream encoder both accumulate with it and
+reduce each output symbol once, with Matrix.lane_codes.  The one
+elimination is ColumnSpan.  Its row operations are inlined list
+comprehensions, one (x - c*y) % q per entry when the scalar and both
+columns lie in GF(q), and through the scalar's FieldSpec.mul_map
+otherwise; no field method is called per entry.  It grows a fully
+reduced column basis with first-nonzero pivoting: deterministic, and
+with no stability considerations in an exact field.  rank, is_mds and
+the decoder's unit-vector membership and value recovery all rest on it.
 """
 
 from __future__ import annotations
@@ -64,39 +67,54 @@ class Matrix:
         return Matrix(len(rows), len(cols), self.field, data)
 
     @cached_property
-    def _row_maps(self) -> tuple[tuple[tuple[int, int, int, int, int], ...], ...]:
-        """Per row, (j, *FieldSpec.mul_map(e)) for each nonzero entry e at column j.
+    def packed_rows(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(lane_bits, per row i the pair (P0, P1)): the encoding kernel.
 
-        Built on the first add_row, not with the matrix: most matrices
+        A packed codeword is one int in which symbol j occupies the lane
+        of lane_bits = 2w bits at bit j*lane_bits: the unreduced GF(q)
+        coordinate of 1 in its low w bits, that of x in its high w bits.
+        P0 and P1 pack FieldSpec.mul_map of row i's entries, so that
+        a0*P0 + a1*P1 is (a0 + a1*x) . (row i) with no carry between
+        fields: every map entry and every a0, a1 lies in [0, q), so a
+        field summing at most `rows` rows stays below 2*rows*(q-1)^2 < 2^w.
+        Built on the first encode, not with the matrix: most matrices
         (submatrix, is_mds blocks) never encode.
         """
-        mul_map = self.field.mul_map
-        return tuple(
-            tuple((j, *mul_map(e)) for j, e in enumerate(self.row(i)) if e)
-            for i in range(self.rows)
-        )
+        q, mul_map = self.field.q, self.field.mul_map
+        w = (2 * self.rows * (q - 1) ** 2).bit_length() or 1  # a 0-row matrix packs zeros
+        packed = []
+        for i in range(self.rows):
+            p0 = p1 = 0
+            for j, e in enumerate(self.row(i)):
+                if e:
+                    m00, m01, m10, m11 = mul_map(e)
+                    p0 |= (m10 << w | m00) << 2 * j * w
+                    p1 |= (m11 << w | m01) << 2 * j * w
+            packed.append((p0, p1))
+        return 2 * w, tuple(packed)
 
-    def add_row(self, lo: list[int], hi: list[int], i: int, c: int) -> None:
-        """(lo, hi) += c . (row i), unreduced: the one encoding kernel.
-
-        lo[j] and hi[j] are integer sums whose residues mod q are the
-        coordinates of 1 and x of symbol j; FieldSpec.code reduces them.
-        """
-        q = self.field.q
-        a0, a1 = c % q, c // q
-        for j, m00, m01, m10, m11 in self._row_maps[i]:
-            lo[j] += a0 * m00 + a1 * m01
-            hi[j] += a0 * m10 + a1 * m11
+    def lane_codes(self, packed: Iterable[int]) -> list[int]:
+        """The display code of the lowest lane of each packed codeword."""
+        w = self.packed_rows[0] // 2
+        q, mask = self.field.q, (1 << w) - 1
+        return [(x >> w & mask) % q * q + (x & mask) % q for x in packed]
 
     def vec_mul(self, vec: Sequence[int]) -> list[int]:
-        """Row vector times matrix: vec . M, the encoding map."""
+        """Row vector times matrix: vec . M, the encoding map.
+
+        Symbols are ints, reduced mod q^2; anything else raises ValueError.
+        """
         if len(vec) != self.rows:
             raise ValueError("vector length must equal row count")
-        lo, hi = [0] * self.cols, [0] * self.cols
-        for i, v in enumerate(vec):
-            if v:
-                self.add_row(lo, hi, i, v)
-        return list(map(self.field.code, lo, hi))
+        q, order = self.field.q, self.field.order
+        lane_bits, packed = self.packed_rows
+        acc = 0
+        for v, (p0, p1) in zip(vec, packed):
+            if type(v) is not int:
+                raise ValueError(f"message symbol is not an int: {v!r}")
+            c = v % order
+            acc += c % q * p0 + c // q * p1
+        return self.lane_codes(acc >> s for s in range(0, lane_bits * self.cols, lane_bits))
 
     def to_dump(self) -> dict:
         """Matrix dump format: JSON-ready dict with integer display codes."""
@@ -139,6 +157,30 @@ def is_mds(g: Matrix) -> bool:
     return True
 
 
+def _minus_times(x: list[int], c: int, y: list[int], f: FieldSpec) -> list[int]:
+    """x - c*y entrywise on display codes, with no field method per entry.
+
+    For y = y0 + y1*x, c*y goes through c's FieldSpec.mul_map, or scales
+    y0 and y1 alone when c lies in GF(q); y0 may be replaced by the code
+    y itself, since y = y0 (mod q).
+    """
+    q = f.q
+    if c < q:
+        return [(a // q - c * (b // q)) % q * q + (a - c * b) % q for a, b in zip(x, y)]
+    m00, m01, m10, m11 = f.mul_map(c)
+    return [(a // q - m10 * b - m11 * (b // q)) % q * q + (a - m00 * b - m01 * (b // q)) % q
+            for a, b in zip(x, y)]
+
+
+def _times(c: int, y: list[int], f: FieldSpec) -> list[int]:
+    """c*y entrywise on display codes, by the rule of _minus_times."""
+    q = f.q
+    if c < q:
+        return [c * (b // q) % q * q + c * b % q for b in y]
+    m00, m01, m10, m11 = f.mul_map(c)
+    return [(m10 * b + m11 * (b // q)) % q * q + (m00 * b + m01 * (b // q)) % q for b in y]
+
+
 class ColumnSpan:
     """Incrementally grown span of columns in GF(q^2)^dim.
 
@@ -152,12 +194,20 @@ class ColumnSpan:
     that equals e_j on its first dim coordinates therefore carries the
     tails of the added columns combined with the same coefficients that
     combine their heads into e_j.
+
+    Each basis column carries a flag: True when it is known to lie in
+    GF(q)^len, so that a row operation between base columns is one
+    (x - c*y) % q per entry.  The flag is conservative: a column that
+    met an extension element stays flagged False.  It pays because code
+    construction draws nearly all of its entries from GF(q): there, about
+    98% of row operations are between base columns.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
         self.field = field
         self.dim = dim
         self.basis: dict[int, list[int]] = {}  # pivot -> basis column
+        self._base: dict[int, bool] = {}  # pivot -> basis column lies in GF(q)
 
     @property
     def dimension(self) -> int:
@@ -168,29 +218,41 @@ class ColumnSpan:
         mutates one in place, so a shallow copy of the basis suffices."""
         other = ColumnSpan(self.field, self.dim)
         other.basis = dict(self.basis)
+        other._base = dict(self._base)
         return other
 
     def add(self, col: Sequence[int]) -> bool:
         """Append a column; True if it enlarged the span."""
-        f = self.field
-        sub, mul = f.sub, f.mul
-        r = list(col)
-        for p, b in self.basis.items():
+        f, basis, base = self.field, self.basis, self._base
+        q = f.q
+        r = col  # never mutated: every step below builds a new list
+        r_base = max(r, default=0) < q
+        for p, b in basis.items():
             c = r[p]
             if c:
-                r = [sub(x, mul(c, y)) for x, y in zip(r, b)]
-        p = next((i for i in range(self.dim) if r[i]), None)
-        if p is None:
+                if r_base and base[p]:
+                    r = [(x - c * y) % q for x, y in zip(r, b)]
+                else:
+                    r_base = False
+                    r = _minus_times(r, c, b, f)
+        head = r[: self.dim]
+        lead = next(filter(None, head), 0)
+        if not lead:
             return False
-        pinv = f.inv(r[p])
-        r = [mul(pinv, x) for x in r]
-        basis = self.basis
+        p = head.index(lead)
+        pinv = f.inv(lead)
+        r = [pinv * x % q for x in r] if r_base else _times(pinv, r, f)
         # rebind, never mutate, a basis column: copy() shares them
-        for q, b in basis.items():
+        for s, b in basis.items():
             c = b[p]
             if c:
-                basis[q] = [sub(x, mul(c, y)) for x, y in zip(b, r)]
+                if r_base and base[s]:
+                    basis[s] = [(x - c * y) % q for x, y in zip(b, r)]
+                else:
+                    base[s] = False
+                    basis[s] = _minus_times(b, c, r, f)
         basis[p] = r
+        base[p] = r_base
         return True
 
     def contains_unit(self, j: int) -> bool:

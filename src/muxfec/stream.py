@@ -12,10 +12,11 @@ T slots after it arrived, or sooner where the clamp to the diagonal's
 last slot binds.  The clamp decides no verdict, since a block decode
 time never exceeds n-1, but it is the slot a violation reports.
 
-The encoder keeps each live diagonal as the unreduced (lo, hi) integer
-coordinates of its codeword so far, adds a symbol's row of G to them
-when the symbol arrives (Matrix.add_row), and reduces a lane to its
-display code once, when the packet carrying it is emitted.
+The encoder keeps each live diagonal as one int, its codeword so far
+packed by Matrix.packed_rows, adds a symbol's packed row of G to it when
+the symbol arrives (two big-int multiplies), and reduces a lane to its
+display code once, when the packet carrying it is emitted: a shift, a
+mask and % q (Matrix.lane_codes).
 
 During warm-up only diagonals starting at slot 0 or later transmit, so
 the first n-1 packets are partially filled with zeros and message
@@ -79,48 +80,58 @@ class StreamReport:
 class StreamState:
     """Encoder state: the unreduced codewords of the last n diagonals.
 
-    A diagonal is a (lo, hi) pair of integer lists, the GF(q) coordinates
-    of 1 and x of each lane, summed without reduction.  Each arriving
-    message symbol adds its row of G, scaled by the symbol, to them
-    (Matrix.add_row), and the packet of slot t reduces lane j of diagonal
-    t-j with FieldSpec.code.  Lane j of a diagonal is sent
-    j slots after the diagonal starts, so it holds every symbol that has
-    arrived by then.  G is causal (row r is zero before its symbol's
-    arrival slot), so that is every symbol with a nonzero entry in lane j,
-    and a complete diagonal sends exactly its block encoding.
+    A diagonal is one int, a codeword of G packed by Matrix.packed_rows:
+    the GF(q) coordinates of 1 and x of each lane, summed without
+    reduction in fixed-width bit fields.  After the push of slot t,
+    diagonals[j] is the diagonal started at slot t-j, shifted down by j
+    lanes, so that its lowest lane is lane j, the one slot t sent.  An
+    arriving message symbol a0 + a1*q adds a0*P0 + a1*P1 of its row of
+    G, shifted down by its generation time, to its diagonal, and the
+    packet reduces the lowest lane of each diagonal once, with
+    Matrix.lane_codes.  Lane j of a diagonal is sent j slots after the
+    diagonal starts, so it holds every symbol that has arrived by then.
+    G is causal (row r is zero before its symbol's arrival slot), so that
+    is every symbol with a nonzero entry in lane j, and a complete
+    diagonal sends exactly its block encoding.
     """
 
     code: MuxCode
     clock: int = 0
-    # start slot -> (lo, hi) of its codeword so far
-    diagonals: dict[int, tuple[list[int], list[int]]] = field(default_factory=dict)
-    # message lane (v lanes, then u lanes) -> (row of G, generation time):
-    # the lane's symbol at slot t is that row's coordinate of diagonal t - gen_time
-    routes: list[tuple[int, int]] = field(init=False, repr=False)
+    # diagonals[j]: packed codeword so far of the diagonal started at slot
+    # clock-1-j, shifted down by j lanes; zero before slot 0
+    diagonals: list[int] = field(init=False)
+    # message lane (v lanes, then u lanes) -> (gen_time, P0, P1): the lane's
+    # symbol at slot t feeds diagonal t - gen_time with its row of G, packed
+    # and shifted down by gen_time lanes, like that diagonal
+    routes: list[tuple[int, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.routes = [(s.row, s.gen_time) for s in self.code.symbol_deadlines()]
+        self.diagonals = [0] * self.code.params.n
+        lane_bits, packed = self.code.G.packed_rows
+        self.routes = [(s.gen_time, *(p >> s.gen_time * lane_bits for p in packed[s.row]))
+                       for s in self.code.symbol_deadlines()]
 
     def push(self, v_t: Sequence[int], u_t: Sequence[int]) -> list[int]:
-        """Consume one slot's message symbols and emit one packet."""
+        """Consume one slot's message symbols and emit one packet.
+
+        Symbols are ints, reduced mod q^2; anything else raises ValueError.
+        """
         p = self.code.params
         if len(v_t) != p.k_v or len(u_t) != p.k_u:
             raise ValueError("message lanes must be (k_v, k_u) wide")
-        t = self.clock
-        g, f, diagonals = self.code.G, self.code.field, self.diagonals
-        order = f.order
-        diagonals[t] = ([0] * p.n, [0] * p.n)
-        for (row, gen_time), sym in zip(self.routes, [*v_t, *u_t]):
-            c, d = sym % order, t - gen_time
-            if c and d in diagonals:
-                g.add_row(*diagonals[d], row, c)
-        packet = [0] * p.n
-        for j in range(min(t, p.n - 1) + 1):
-            lo, hi = diagonals[t - j]
-            packet[j] = f.code(lo[j], hi[j])
-        diagonals.pop(t - p.n + 1, None)
+        t, g = self.clock, self.code.G
+        q, order, lane_bits = g.field.q, g.field.order, g.packed_rows[0]
+        # age every diagonal by one slot; the oldest one is complete
+        live = [0, *[x >> lane_bits for x in self.diagonals[:-1]]]
+        for (gen_time, p0, p1), sym in zip(self.routes, [*v_t, *u_t]):
+            if type(sym) is not int:
+                raise ValueError(f"message symbol is not an int: {sym!r}")
+            c = sym % order
+            if c and gen_time <= t:
+                live[gen_time] += c % q * p0 + c // q * p1
+        self.diagonals = live
         self.clock += 1
-        return packet
+        return g.lane_codes(live)
 
 
 def stream_encode(

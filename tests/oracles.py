@@ -4,10 +4,20 @@ Everything here deliberately avoids the library's Gaussian elimination
 and field internals: arithmetic is done longhand on (lo, hi) coordinate
 pairs, determinants by permutation expansion, rank by maximal nonzero
 minor search, and inverses by the extended Euclidean algorithm over the
-polynomial ring.
+polynomial ring.  The exceptions are ReferenceSpan, the elimination
+with a FieldSpec method call per entry, kept as the slow path that the
+inlined linalg.ColumnSpan must match, and KERNEL_FIELDS, the fields the
+packed encoder and the inlined span are tested over.
 """
 
 from itertools import combinations, permutations
+
+from muxfec.galois import FieldSpec, field_spec
+
+# c1 != 0 in the first three exercises the x-term of x^2 = -c1*x - c0,
+# which the default fields of odd q (c1 = 0) never do
+KERNEL_FIELDS = [FieldSpec(5, 1, 2), FieldSpec(2, 1, 1), FieldSpec(7, 3, 5), field_spec(11),
+                 field_spec(65521)]
 
 
 def is_prime_trial(n):
@@ -147,6 +157,50 @@ def mat_vec(rows, vec, q, c1, c0):
             acc = o_add(acc, o_mul(e, v, q, c1, c0), q)
         out.append(acc)
     return out
+
+
+def worst_case_entry(q, c1, c0):
+    """The GF(q^2) element e whose multiplication map sends (q-1, q-1) to
+    the largest possible unreduced coordinate of 1, 2(q-1)^2: e = e0 + e1*x
+    with e0 = q-1 and -c0*e1 = q-1 (mod q).  c0 != 0 for an irreducible
+    quadratic, so e1 = 1/c0 exists and e lies outside GF(q).
+    """
+    return pow(c0, q - 2, q) * q + q - 1
+
+
+# -- reference elimination -------------------------------------------------
+
+class ReferenceSpan:
+    """The column-span elimination spelled out with one FieldSpec.sub and
+    FieldSpec.mul call per entry: the slow path that linalg.ColumnSpan
+    replaced.  Same contract: add(col) -> enlarged?, and basis maps each
+    pivot to its fully reduced basis column.
+    """
+
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+        self.basis = {}
+
+    def add(self, col):
+        f = self.field
+        sub, mul = f.sub, f.mul
+        r = list(col)
+        for p, b in self.basis.items():
+            c = r[p]
+            if c:
+                r = [sub(x, mul(c, y)) for x, y in zip(r, b)]
+        p = next((i for i in range(self.dim) if r[i]), None)
+        if p is None:
+            return False
+        pinv = f.inv(r[p])
+        r = [mul(pinv, x) for x in r]
+        for s, b in self.basis.items():
+            c = b[p]
+            if c:
+                self.basis[s] = [sub(x, mul(c, y)) for x, y in zip(b, r)]
+        self.basis[p] = r
+        return True
 
 
 # -- decoding oracle -------------------------------------------------------

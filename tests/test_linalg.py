@@ -1,11 +1,15 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from muxfec import codespec
 from muxfec.galois import FieldSpec, field_spec
 from muxfec.linalg import ColumnSpan, Matrix, is_mds, rank
 
 from oracles import (
+    KERNEL_FIELDS,
+    ReferenceSpan,
     code_pairs,
     codes_to_pairs,
     det_bruteforce,
@@ -13,10 +17,12 @@ from oracles import (
     mat_vec,
     rank_bruteforce,
     unit_in_span_bruteforce,
+    worst_case_entry,
 )
 
 GF11 = field_spec(11)
 GF5 = field_spec(5)
+STREAM_SPEC = Path(__file__).resolve().parents[1] / "perfbench/specs/stream_20_10_6_2.json"
 
 
 def vandermonde(field, rows, nodes):
@@ -155,33 +161,66 @@ def test_rank_with_extension_entries():
 
 
 def test_column_span_tracks_rank():
-    rng = random.Random(11)
-    for _ in range(100):
-        r = rng.randint(1, 5)
-        c = rng.randint(1, 8)
-        m = Matrix(r, c, GF5, tuple(rng.randrange(25) for _ in range(r * c)))
-        pairs = codes_to_pairs(m)
-        span = ColumnSpan(GF5, r)
-        for j in range(c):
-            if j == c // 2:  # the verifier's walk relies on add never mutating a basis column
-                snapshot = span.copy()
-                frozen = {p: list(b) for p, b in snapshot.basis.items()}
-            span.add(m.col(j))
-        assert snapshot.basis == frozen
-        assert span.dimension == rank_bruteforce(pairs, GF5.q, GF5.c1, GF5.c0)
-        for j in range(r):
-            want = unit_in_span_bruteforce(pairs, j, GF5.q, GF5.c1, GF5.c0)
-            assert span.contains_unit(j) == want
+    """GF5 has c1 = 0; the other fields exercise the x-term of x^2 = -c1*x - c0."""
+    for spec in (GF5, FieldSpec(5, 1, 2), FieldSpec(2, 1, 1), FieldSpec(7, 3, 5)):
+        rng = random.Random(11 + spec.c1)
+        for _ in range(100):
+            r = rng.randint(1, 5)
+            c = rng.randint(1, 8)
+            m = Matrix(r, c, spec, tuple(rng.randrange(spec.order) for _ in range(r * c)))
+            pairs = codes_to_pairs(m)
+            span = ColumnSpan(spec, r)
+            for j in range(c):
+                if j == c // 2:  # the verifier's walk relies on add never mutating a basis column
+                    snapshot = span.copy()
+                    frozen = {p: list(b) for p, b in snapshot.basis.items()}
+                span.add(m.col(j))
+            assert snapshot.basis == frozen
+            assert span.dimension == rank_bruteforce(pairs, spec.q, spec.c1, spec.c0)
+            for j in range(r):
+                want = unit_in_span_bruteforce(pairs, j, spec.q, spec.c1, spec.c0)
+                assert span.contains_unit(j) == want
 
 
-@pytest.mark.parametrize("spec", [FieldSpec(5, 1, 2), FieldSpec(2, 1, 1), FieldSpec(7, 3, 5),
-                                  GF11], ids=str)
+def random_entry(rng, spec):
+    """Zero with probability 0.3; otherwise a base-field or an extension entry, evenly."""
+    pick = rng.random()
+    if pick < 0.3:
+        return 0
+    return rng.randrange(1, spec.q) if pick < 0.65 else rng.randrange(spec.q, spec.order)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_column_span_matches_reference(spec):
+    """The inlined elimination against the FieldSpec-method one: the same
+    verdict on every add and the same basis after it, on columns with tails,
+    all in GF(q) or not, and on copies taken midway."""
+    rng = random.Random(spec.q * 10 + spec.c1)
+    for trial in range(150):
+        dim, tail = rng.randint(1, 6), rng.randint(0, 3)
+        base_only = trial % 3 == 0  # every column in GF(q): the (x - c*y) % q path only
+        span, ref = ColumnSpan(spec, dim), ReferenceSpan(spec, dim)
+        adds = rng.randint(1, 2 * dim + 2)
+        for j in range(adds):
+            col = [random_entry(rng, spec) for _ in range(dim + tail)]
+            if base_only:
+                col = [e % spec.q for e in col]
+            if j == adds // 2:
+                snapshot, ref_snapshot = span.copy(), ReferenceSpan(spec, dim)
+                ref_snapshot.basis = dict(ref.basis)
+            assert span.add(col) == ref.add(col)
+            assert span.basis == ref.basis
+            for p, flagged in span._base.items():  # a flag in GF(q) is never wrong
+                assert not flagged or max(span.basis[p]) < spec.q
+        # the copy keeps growing on its own, still equal to the reference
+        col = [random_entry(rng, spec) for _ in range(dim + tail)]
+        assert snapshot.add(col) == ref_snapshot.add(col)
+        assert snapshot.basis == ref_snapshot.basis
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
 def test_vec_mul_matches_pair_oracle(spec):
-    """The encoding kernel against longhand pair arithmetic: vec . M = M^T . vec.
-
-    c1 != 0 exercises the x-term of x^2 = -c1*x - c0, which the default
-    fields of odd q (c1 = 0) never do.
-    """
+    """The encoding kernel against longhand pair arithmetic: vec . M = M^T . vec."""
     rng = random.Random(spec.q * 100 + spec.c1)
     for _ in range(200):
         r, c = rng.randint(1, 5), rng.randint(1, 6)
@@ -190,10 +229,46 @@ def test_vec_mul_matches_pair_oracle(spec):
         vec = [rng.randrange(spec.order) for _ in range(r)]
         vec[rng.randrange(r)] = 0
         m = Matrix.from_rows(spec, rows)
-        assert "_row_maps" not in vars(m)  # built on first use only
+        assert "packed_rows" not in vars(m)  # built on first use only
         transpose = [list(col) for col in zip(*codes_to_pairs(m))]
         want = mat_vec(transpose, code_pairs(vec, spec.q), spec.q, spec.c1, spec.c0)
         assert m.vec_mul(vec) == [spec.code(lo, hi) for lo, hi in want]
+        # any int symbol, negative or past q^2, is reduced mod q^2 first
+        assert m.vec_mul([v + rng.randint(-3, 3) * spec.order for v in vec]) == m.vec_mul(vec)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_vec_mul_at_worst_case_packing_width(spec):
+    """Every symbol q^2-1 (a0 = a1 = q-1) times a matrix whose entries all
+    lie outside GF(q), so that every lane sums every row; with the
+    worst_case_entry matrix each coordinate of 1 reaches exactly the
+    2*rows*(q-1)^2 that the field width is sized for."""
+    rng = random.Random(spec.q)
+    top, worst = spec.order - 1, worst_case_entry(spec.q, spec.c1, spec.c0)
+    for r, c in [(1, 1), (2, 3), (5, 4), (9, 7)]:
+        for entry in (lambda: worst, lambda: rng.randrange(spec.q, spec.order)):
+            m = Matrix.from_rows(spec, [[entry() for _ in range(c)] for _ in range(r)])
+            w = m.packed_rows[0] // 2  # bits per coordinate, half a lane
+            assert 2 ** (w - 1) <= 2 * r * (spec.q - 1) ** 2 < 2 ** w
+            transpose = [list(col) for col in zip(*codes_to_pairs(m))]
+            want = mat_vec(transpose, code_pairs([top] * r, spec.q), spec.q, spec.c1, spec.c0)
+            assert m.vec_mul([top] * r) == [spec.code(lo, hi) for lo, hi in want]
+
+
+@pytest.mark.parametrize("bad", [2.5, None, True, False, "3"], ids=repr)
+def test_vec_mul_rejects_non_int_symbols(bad):
+    m = Matrix.from_rows(GF11, [[1, 12, 3], [0, 120, 6]])
+    with pytest.raises(ValueError, match="not an int"):
+        m.vec_mul([4, bad])
+
+
+def test_spec_load_builds_no_packed_rows():
+    """codespec.load (timed in the benchmark's setup) leaves the encoding
+    kernel to the first encode."""
+    code = codespec.load(STREAM_SPEC)
+    assert "packed_rows" not in vars(code.G)
+    code.encode([0] * code.params.k_v, [0] * code.params.k_u)
+    assert "packed_rows" in vars(code.G)
 
 
 def test_matrix_dump_round_trip():

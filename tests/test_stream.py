@@ -17,6 +17,8 @@ from muxfec.stream import (
     stream_encode,
 )
 
+from oracles import KERNEL_FIELDS, code_pairs, codes_to_pairs, mat_vec, worst_case_entry
+
 
 def zero_messages(code, slots):
     p = code.params
@@ -104,6 +106,43 @@ def test_packet_bytes_pinned(request, name):
     code = request.getfixturevalue(name)
     packets = stream_encode(seeded_messages(code, 3 * code.params.n, 2024), code)
     assert hashlib.sha256(json.dumps(packets).encode()).hexdigest() == PACKET_SHA256[name]
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_stream_at_worst_case_packing_width(example_code, spec):
+    """Every symbol q^2-1 through a causal G whose every entry from a row's
+    generation time on is the worst_case_entry: the last lanes sum every
+    row at the largest coordinates the field width is sized for.  Each
+    complete diagonal must still send its block encoding."""
+    p = example_code.params
+    gen_time = {s.row: s.gen_time for s in example_code.symbol_deadlines()}
+    worst, top = worst_case_entry(spec.q, spec.c1, spec.c0), spec.order - 1
+    rows = [[worst if j >= gen_time[r] else 0 for j in range(p.n)] for r in range(len(gen_time))]
+    code = dataclasses.replace(example_code, G=Matrix.from_rows(spec, rows))
+    block = [top] * len(rows)
+    transpose = [list(col) for col in zip(*codes_to_pairs(code.G))]
+    want = [spec.code(lo, hi)
+            for lo, hi in mat_vec(transpose, code_pairs(block, spec.q), spec.q, spec.c1, spec.c0)]
+    assert code.G.vec_mul(block) == want
+    packets = stream_encode([([top] * p.k_v, [top] * p.k_u)] * (3 * p.n), code)
+    for d in range(2 * p.n + 1):
+        assert [packets[d + j][j] for j in range(p.n)] == want, f"diagonal {d}"
+
+
+@pytest.mark.parametrize("bad", [2.5, None, True, False, "3"], ids=repr)
+def test_push_rejects_non_int_symbols(example_code, bad):
+    p = example_code.params
+    st = StreamState(example_code)
+    with pytest.raises(ValueError, match="not an int"):
+        st.push([0] * (p.k_v - 1) + [bad], [0] * p.k_u)
+    with pytest.raises(ValueError, match="not an int"):
+        stream_encode([([0] * p.k_v, [bad] + [0] * (p.k_u - 1))], example_code)
+    with pytest.raises(ValueError, match="not an int"):
+        example_code.encode([bad] + [0] * (p.k_v - 1), [0] * p.k_u)
+    # a rejected slot leaves the encoder untouched
+    assert st.clock == 0
+    assert st.push([1] * p.k_v, [0] * p.k_u) == StreamState(example_code).push([1] * p.k_v,
+                                                                               [0] * p.k_u)
 
 
 def test_rate_accounting(example_code):
