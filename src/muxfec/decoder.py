@@ -147,11 +147,16 @@ def _decode_times(
 def _add_column(
     span: ColumnSpan, col: list[int], t: int, times: list[Optional[int]], pending: set[int]
 ) -> None:
-    """The sweep step: add the column of slot t, stamp the coordinates it decodes."""
+    """The sweep step: add the column of slot t, stamp the coordinates it decodes.
+
+    Only the basis columns the add set (span.changed) can have newly
+    become unit vectors, so only the pending ones among them are checked.
+    """
     if span.add(col):
-        for j in [j for j in pending if span.contains_unit(j)]:
-            times[j] = t
-            pending.discard(j)
+        for j in span.changed:
+            if j in pending and span.contains_unit(j):
+                times[j] = t
+                pending.discard(j)
 
 
 def _report(

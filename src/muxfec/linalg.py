@@ -12,8 +12,13 @@ comprehensions, one (x - c*y) % q per entry when the scalar and both
 columns lie in GF(q), and through the scalar's FieldSpec.mul_map
 otherwise; no field method is called per entry.  It grows a fully
 reduced column basis with first-nonzero pivoting: deterministic, and
-with no stability considerations in an exact field.  rank, is_mds and
-the decoder's unit-vector membership and value recovery all rest on it.
+with no stability considerations in an exact field.  After each add it
+names the basis columns it set, the only ones that can have newly become
+unit vectors.  rank, is_mds and the decoder's unit-vector membership and
+value recovery all rest on it.  is_mds checks the side with fewer rows:
+a k x n code is MDS exactly when its dual is, so a tall matrix (2k > n)
+is brought to systematic form [I | A] on a span whose columns carry
+identity tails, and its dual [-A^T | I], of n - k rows, is checked.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .galois import FieldSpec
 
@@ -143,18 +148,54 @@ def rank(m: Matrix) -> int:
 def is_mds(g: Matrix) -> bool:
     """True iff every selection of `rows` columns is linearly independent.
 
-    A selection is rejected at its first column that does not enlarge the
-    span of the ones before it.  A 0-row matrix is vacuously MDS
-    (degenerate sub-blocks of short codes).
+    A k x n code is MDS exactly when its dual is, so the check runs on the
+    side with fewer rows: G itself when 2k <= n, else the dual generator
+    [-A^T | I] of G's systematic form [I | A] (see _dual_columns).  G is
+    not MDS when its first k columns are dependent.  On the side chosen,
+    a selection of columns is rejected at its first column that does not
+    enlarge the span of the ones before it.  A 0-row matrix is vacuously
+    MDS (degenerate sub-blocks of short codes), and so is a k x k one
+    with independent columns, whose dual has 0 rows.
     """
     if g.rows > g.cols:
         raise ValueError("is_mds requires rows <= cols")
-    cols = [g.col(j) for j in range(g.cols)]
-    for sel in itertools.combinations(cols, g.rows):
-        span = ColumnSpan(g.field, g.rows)
+    dim, cols = g.rows, [g.col(j) for j in range(g.cols)]
+    if 2 * dim > g.cols:
+        dim, cols = g.cols - dim, _dual_columns(g.field, dim, cols)
+        if cols is None:
+            return False
+    for sel in itertools.combinations(cols, dim):
+        span = ColumnSpan(g.field, dim)
         if not all(span.add(c) for c in sel):
             return False
     return True
+
+
+def _dual_columns(f: FieldSpec, k: int, cols: list[list[int]]) -> Optional[list[list[int]]]:
+    """The columns of [-A^T | I], where [I | A] is the systematic form of
+    the k-row matrix with these columns; None when its first k columns are
+    dependent.
+
+    The first k columns enter a span with identity tails, so the basis
+    column of pivot p carries column p of the inverse of their block in
+    its tail.  Reducing column k+i with a zero tail against that basis
+    clears its head and leaves column i of -A in its tail: row i of the
+    dual.
+    """
+    span = ColumnSpan(f, k)
+    for t in range(k):
+        if not span.add(cols[t] + [int(i == t) for i in range(k)]):
+            return None
+    rows = []
+    for c in cols[k:]:
+        r = c + [0] * k
+        for p, b in span.basis.items():
+            if r[p]:
+                r = _minus_times(r, r[p], b, f)
+        rows.append(r[k:])
+    n_k = len(rows)
+    return [list(col) for col in zip(*rows)] + [[int(i == j) for i in range(n_k)]
+                                                 for j in range(n_k)]
 
 
 def _minus_times(x: list[int], c: int, y: list[int], f: FieldSpec) -> list[int]:
@@ -201,6 +242,11 @@ class ColumnSpan:
     met an extension element stays flagged False.  It pays because code
     construction draws nearly all of its entries from GF(q): there, about
     98% of row operations are between base columns.
+
+    After a successful add, `changed` lists the pivots whose basis columns
+    it set: the new pivot, then each pivot rebound in back-substitution.
+    Only these can have newly become unit vectors; a basis column that
+    already is one has a 0 at the new pivot, so it is never rebound.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
@@ -208,6 +254,7 @@ class ColumnSpan:
         self.dim = dim
         self.basis: dict[int, list[int]] = {}  # pivot -> basis column
         self._base: dict[int, bool] = {}  # pivot -> basis column lies in GF(q)
+        self.changed: list[int] = []
 
     @property
     def dimension(self) -> int:
@@ -242,10 +289,12 @@ class ColumnSpan:
         p = head.index(lead)
         pinv = f.inv(lead)
         r = [pinv * x % q for x in r] if r_base else _times(pinv, r, f)
+        self.changed = changed = [p]
         # rebind, never mutate, a basis column: copy() shares them
         for s, b in basis.items():
             c = b[p]
             if c:
+                changed.append(s)
                 if r_base and base[s]:
                     basis[s] = [(x - c * y) % q for x, y in zip(b, r)]
                 else:

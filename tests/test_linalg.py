@@ -1,9 +1,11 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from muxfec import codespec
+from muxfec import codespec, linalg
+from muxfec.decoder import _add_column
 from muxfec.galois import FieldSpec, field_spec
 from muxfec.linalg import ColumnSpan, Matrix, is_mds, rank
 
@@ -15,6 +17,8 @@ from oracles import (
     det_bruteforce,
     is_mds_bruteforce,
     mat_vec,
+    o_add,
+    o_mul,
     rank_bruteforce,
     unit_in_span_bruteforce,
     worst_case_entry,
@@ -136,8 +140,6 @@ def test_is_mds_requires_wide():
 
 
 def test_is_mds_matches_rank_definition():
-    import itertools
-
     rng = random.Random(99)
     for _ in range(150):
         r = rng.randint(1, 3)
@@ -148,6 +150,81 @@ def test_is_mds_matches_rank_definition():
         )
         assert is_mds(m) == by_rank
         assert is_mds(m) == is_mds_bruteforce(codes_to_pairs(m), GF5.q, GF5.c1, GF5.c0)
+
+
+def mds_case(rng, spec, k, n, kind):
+    """A k x n matrix over all of GF(q^2): "random" (30% zeros), "dense" (no
+    zeros), "vandermonde" (rows x^i at distinct nodes, MDS when n <= q^2) or
+    "lead" (first k columns dependent: column k-1 is a combination of the
+    ones before it, the zero column when k = 1)."""
+    q, c1, c0 = spec.q, spec.c1, spec.c0
+    if kind == "vandermonde":
+        nodes = rng.sample(range(spec.order), n)
+        rows, power = [], [(1, 0)] * n
+        for _ in range(k):
+            rows.append([spec.code(*e) for e in power])
+            power = [o_mul(e, (x % q, x // q), q, c1, c0) for e, x in zip(power, nodes)]
+    else:
+        rows = [[rng.randrange(1, spec.order) if kind == "dense" else random_entry(rng, spec)
+                 for _ in range(n)] for _ in range(k)]
+    if kind == "lead":
+        coef = [(rng.randrange(q), rng.randrange(q)) for _ in range(k - 1)]
+        for row in rows:
+            acc = (0, 0)
+            for a, e in zip(coef, row):
+                acc = o_add(acc, o_mul(a, (e % q, e // q), q, c1, c0), q)
+            row[k - 1] = spec.code(*acc)
+    return Matrix.from_rows(spec, rows) if k else Matrix(0, n, spec, ())
+
+
+MDS_SHAPES = [
+    (0, 0), (0, 3),  # no rows: vacuously MDS
+    (1, 1), (2, 2), (3, 3),  # k = n: MDS iff invertible, a dual with 0 rows
+    (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6),  # tall, 2k > n: the dual side
+    (1, 3), (2, 4), (2, 5), (3, 6),  # wide, 2k <= n: G itself
+]
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_is_mds_both_sides_match_bruteforce(spec, monkeypatch):
+    """is_mds on both sides of 2k = n, with entries from all of GF(q^2),
+    against every maximal minor by permutation expansion and by
+    rank_bruteforce; and the selections it checks have min(k, n-k) rows."""
+
+    class LoggedSpan(ColumnSpan):
+        def add(self, col):
+            if len(col) == self.dim:  # a selection's column; the systematic form's carry tails
+                dims.append(self.dim)
+            return super().add(col)
+
+    monkeypatch.setattr(linalg, "ColumnSpan", LoggedSpan)
+    rng = random.Random(spec.q * 7 + spec.c1)
+    q, c1, c0 = spec.q, spec.c1, spec.c0
+    verdicts = set()
+    for k, n in MDS_SHAPES:
+        kinds = ["random", "dense", "dense", "lead", "lead"]
+        if n <= spec.order:
+            kinds += ["vandermonde", "vandermonde"]
+        for kind in kinds * 2:
+            if kind == "lead" and k == 0:
+                continue
+            m = mds_case(rng, spec, k, n, kind)
+            pairs = codes_to_pairs(m)
+            want = is_mds_bruteforce(pairs, q, c1, c0)
+            by_rank = all(
+                rank_bruteforce([[row[j] for j in sel] for row in pairs], q, c1, c0) == k
+                for sel in itertools.combinations(range(n), k)
+            )
+            dims = []
+            got = is_mds(m)
+            assert got == want == by_rank, (k, n, kind, m.data)
+            assert set(dims) <= {min(k, n - k)}
+            if kind == "lead":
+                assert got is False
+            if kind == "vandermonde":
+                assert got is True
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_rank_with_extension_entries():
@@ -216,6 +293,46 @@ def test_column_span_matches_reference(spec):
         col = [random_entry(rng, spec) for _ in range(dim + tail)]
         assert snapshot.add(col) == ref_snapshot.add(col)
         assert snapshot.basis == ref_snapshot.basis
+
+
+def reference_units(ref):
+    """The pivots whose basis column is e_j on the head: a full scan."""
+    return {j for j, b in ref.basis.items() if not any(b[:j]) and not any(b[j + 1 : ref.dim])}
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_add_column_stamps_what_a_full_scan_finds(spec):
+    """The sweep step checks only the basis columns an add changed; the
+    coordinates it stamps must be exactly the pending ones that a full scan
+    of the reference span finds to be units, on columns with and without
+    tails, and on a copy taken midway."""
+    rng = random.Random(spec.q * 13 + spec.c1)
+
+    def step(state, ref, col, t):
+        span, times, pending = state
+        before = set(pending)
+        _add_column(span, col, t, times, pending)
+        ref.add(col)
+        assert before - pending == reference_units(ref) & before
+        assert all(times[j] == t for j in before - pending)
+        assert all(times[j] is None for j in pending)
+
+    for trial in range(150):
+        dim, tail = rng.randint(1, 6), rng.choice([0, 0, 1, 3])
+        state = (ColumnSpan(spec, dim), [None] * dim, set(range(dim)))
+        ref = ReferenceSpan(spec, dim)
+        adds = rng.randint(1, 2 * dim + 2)
+        for t in range(adds):
+            col = [random_entry(rng, spec) for _ in range(dim + tail)]
+            if trial % 3 == 0:
+                col = [e % spec.q for e in col]
+            if t == adds // 2:
+                copied = (state[0].copy(), state[1][:], set(state[2]))
+                ref_copy = ReferenceSpan(spec, dim)
+                ref_copy.basis = dict(ref.basis)
+            step(state, ref, col, t)
+        for t in range(adds, adds + dim + 1):  # the copy grows on its own
+            step(copied, ref_copy, [random_entry(rng, spec) for _ in range(dim + tail)], t)
 
 
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,8 @@ from muxfec.muxcode import (
     select_parameters,
 )
 from muxfec.singlecode import BASE_SPECIAL, EXTENSION_SPECIAL, build_single_code
+
+STREAM_SPEC = Path(__file__).resolve().parents[1] / "perfbench/specs/stream_20_10_6_2.json"
 
 
 def test_select_parameters_example():
@@ -151,6 +154,14 @@ def test_build_deterministic(example_code):
     # pinned spec bytes for (12,6,4,2) at seed 0
     digest = hashlib.sha256(codespec.dumps(example_code).encode()).hexdigest()
     assert digest == "a6941654653876bf6a2aa5eef7e96b43bcbba085a18321e3964d62baff73e1f4"
+
+
+def test_build_pins_bytes_where_is_mds_rejects_draws(random_dominant_code):
+    """Seed -> bytes at points whose search discards draws on is_mds verdicts."""
+    digest = hashlib.sha256(codespec.dumps(random_dominant_code).encode()).hexdigest()
+    assert digest == "bc1f08d4c267ec8eb39459b27057549b0b9b001d25551645cf32e00c1e30ffc2"
+    rebuilt = build_mux_code(select_parameters(20, 10, 6, 2), seed=0)
+    assert codespec.dumps(rebuilt) == STREAM_SPEC.read_text(encoding="utf-8")
 
 
 def build_mux_code_cached():
