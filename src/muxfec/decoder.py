@@ -126,22 +126,26 @@ def mux_deadlines(k_v: int, k_u: int, h: int, n: int, T_v: int, T_u: int) -> lis
 
 
 def _decode_times(
-    span: ColumnSpan, columns: Iterable[list[int]], p: ErasurePattern
-) -> list[Optional[int]]:
-    """Earliest decode time per coordinate of span, None where never.
+    g: Matrix, p: ErasurePattern, received: Optional[Sequence] = None
+) -> tuple[list[Optional[int]], ColumnSpan]:
+    """Earliest decode time per row of g under p (None where never), and the span.
 
-    columns yields the column of every slot in time order; erased slots
-    are skipped.  Coordinate j decodes at the slot whose column brings e_j
-    into the span.
+    Row j decodes at the slot whose column brings e_j into the span.  With
+    received, each column carries its received symbol.  p must cover
+    exactly the codeword's slots.
     """
-    times: list[Optional[int]] = [None] * span.dim
-    pending = set(range(span.dim))
-    for t, col in enumerate(columns):
+    if p.horizon != g.cols:
+        raise ValueError(f"pattern horizon {p.horizon} != codeword length {g.cols}")
+    span = ColumnSpan(g.field, g.rows)
+    times: list[Optional[int]] = [None] * g.rows
+    pending = set(range(g.rows))
+    for t in range(g.cols):
         if t not in p:
-            _add_column(span, col, t, times, pending)
+            col = g.col(t)
+            _add_column(span, col if received is None else col + [received[t]], t, times, pending)
         if not pending:
             break
-    return times
+    return times, span
 
 
 def _add_column(
@@ -178,7 +182,7 @@ def earliest_decode_time(g: Matrix, p: ErasurePattern, j: int) -> Optional[int]:
     """Smallest t with e_j in the span of unerased columns <= t; None if never."""
     if not 0 <= j < g.rows:
         raise ValueError(f"symbol index {j} out of range")
-    return _decode_times(ColumnSpan(g.field, g.rows), map(g.col, range(g.cols)), p)[j]
+    return _decode_times(g, p)[0][j]
 
 
 def check_pattern(
@@ -190,8 +194,7 @@ def check_pattern(
     nothing with other patterns.  verify_matrix and miss_table get the same
     times from one walk over many patterns.
     """
-    times = _decode_times(ColumnSpan(g.field, g.rows), map(g.col, range(g.cols)), p)
-    return _report(times, symbols)
+    return _report(_decode_times(g, p)[0], symbols)
 
 
 def decode_message(
@@ -215,8 +218,7 @@ def decode_message(
             raise ValueError(f"received sequence inconsistent with pattern at slot {t}")
         if not erased and not (type(y) is int and 0 <= y < order):
             raise ValueError(f"received symbol at slot {t} is not a display code: {y!r}")
-    span = ColumnSpan(g.field, g.rows)
-    times = _decode_times(span, (g.col(t) + [y] for t, y in enumerate(received)), p)
+    times, span = _decode_times(g, p, received)
     return _report(times, symbols, {j: col[g.rows] for j, col in span.basis.items()})
 
 

@@ -3,12 +3,12 @@
 Elements of GF(q^2) are residues lo + hi*x of GF(q)[x] modulo a monic
 irreducible quadratic x^2 + c1*x + c0.  The base field embeds as the
 elements with hi = 0.  An element is held as its integer display code
-hi*q + lo (also the matrix dump format).  Arithmetic on single codes
-goes through the methods of :class:`FieldSpec`.  The two hot kernels of
-linalg call none of them per entry: they work on (lo, hi) coordinates
-through the multiplication map of :meth:`FieldSpec.mul_map`.  The
-encoding kernel packs that map into big ints and reduces each output
-symbol once, and ColumnSpan inlines it in its row operations.
+hi*q + lo (also the matrix dump format).  FieldSpec.add, sub and mul are
+the single-element API; mul applies FieldSpec.mul_map, the one statement
+of the product rule.  The two hot kernels of linalg call none of them per
+entry: they work on (lo, hi) coordinates through mul_map.  The encoding
+kernel packs that map into big ints and reduces each output symbol once,
+and ColumnSpan inlines it in its row operations.
 """
 
 from __future__ import annotations
@@ -142,26 +142,17 @@ class FieldSpec:
 
     def add(self, a: int, b: int) -> int:
         q = self.q
-        if a < q and b < q:
-            return (a + b) % q
-        return (a // q + b // q) % q * q + (a % q + b % q) % q
+        return (a // q + b // q) % q * q + (a + b) % q
 
     def sub(self, a: int, b: int) -> int:
         q = self.q
-        if a < q and b < q:
-            return (a - b) % q
-        return (a // q - b // q) % q * q + (a % q - b % q) % q
+        return (a // q - b // q) % q * q + (a - b) % q
 
     def mul(self, a: int, b: int) -> int:
         q = self.q
-        if a < q and b < q:
-            return a * b % q
-        a0, a1 = a % q, a // q
+        m00, m01, m10, m11 = self.mul_map(a)
         b0, b1 = b % q, b // q
-        t = a1 * b1
-        lo = (a0 * b0 - t * self.c0) % q
-        hi = (a0 * b1 + a1 * b0 - t * self.c1) % q
-        return hi * q + lo
+        return (m10 * b0 + m11 * b1) % q * q + (m00 * b0 + m01 * b1) % q
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse, via the conjugate over the base field.

@@ -17,8 +17,8 @@ names the basis columns it set, the only ones that can have newly become
 unit vectors.  rank, is_mds and the decoder's unit-vector membership and
 value recovery all rest on it.  is_mds checks the side with fewer rows:
 a k x n code is MDS exactly when its dual is, so a tall matrix (2k > n)
-is brought to systematic form [I | A] on a span whose columns carry
-identity tails, and its dual [-A^T | I], of n - k rows, is checked.
+is brought to systematic form [I | A] by the span's own reduction,
+ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows, is checked.
 """
 
 from __future__ import annotations
@@ -179,23 +179,17 @@ def _dual_columns(f: FieldSpec, k: int, cols: list[list[int]]) -> Optional[list[
     The first k columns enter a span with identity tails, so the basis
     column of pivot p carries column p of the inverse of their block in
     its tail.  Reducing column k+i with a zero tail against that basis
-    clears its head and leaves column i of -A in its tail: row i of the
-    dual.
+    (ColumnSpan._reduce, the reduction of every add) clears its head and
+    leaves column i of -A in its tail: row i of the dual, before its e_i.
     """
     span = ColumnSpan(f, k)
     for t in range(k):
         if not span.add(cols[t] + [int(i == t) for i in range(k)]):
             return None
-    rows = []
-    for c in cols[k:]:
-        r = c + [0] * k
-        for p, b in span.basis.items():
-            if r[p]:
-                r = _minus_times(r, r[p], b, f)
-        rows.append(r[k:])
-    n_k = len(rows)
-    return [list(col) for col in zip(*rows)] + [[int(i == j) for i in range(n_k)]
-                                                 for j in range(n_k)]
+    n_k = len(cols) - k
+    rows = [span._reduce(c + [0] * k)[0][k:] + [int(i == j) for j in range(n_k)]
+            for i, c in enumerate(cols[k:])]
+    return [list(col) for col in zip(*rows)]
 
 
 def _minus_times(x: list[int], c: int, y: list[int], f: FieldSpec) -> list[int]:
@@ -236,12 +230,15 @@ class ColumnSpan:
     tails of the added columns combined with the same coefficients that
     combine their heads into e_j.
 
-    Each basis column carries a flag: True when it is known to lie in
-    GF(q)^len, so that a row operation between base columns is one
-    (x - c*y) % q per entry.  The flag is conservative: a column that
-    met an extension element stays flagged False.  It pays because code
-    construction draws nearly all of its entries from GF(q): there, about
-    98% of row operations are between base columns.
+    add reduces a column against the basis (_reduce, which the dual of
+    is_mds shares), scales it and clears its pivot from the basis.  Each
+    basis column carries a flag, True when it is known to lie in GF(q)^len,
+    so that a row operation between base columns is one (x - c*y) % q per
+    entry (98% of the build's); a column that met an extension element
+    stays False.  The other paths' calls per seed-0 benchmark round, with
+    the scalar in GF(q) / not: _minus_times build 1,782/404, stream
+    31,436/88; _times build 254/233, stream 5,445/56; FieldSpec.inv build
+    30,941/233, stream 7,357/56.  Every branch is taken, so each stays.
 
     After a successful add, `changed` lists the pivots whose basis columns
     it set: the new pivot, then each pivot rebound in back-substitution.
@@ -268,13 +265,14 @@ class ColumnSpan:
         other._base = dict(self._base)
         return other
 
-    def add(self, col: Sequence[int]) -> bool:
-        """Append a column; True if it enlarged the span."""
-        f, basis, base = self.field, self.basis, self._base
+    def _reduce(self, col: Sequence[int]) -> tuple[Sequence[int], bool]:
+        """(residue, residue in GF(q)): col less its part along the basis,
+        zero at every pivot, and whether it is known to lie in GF(q)."""
+        f, base = self.field, self._base
         q = f.q
         r = col  # never mutated: every step below builds a new list
         r_base = max(r, default=0) < q
-        for p, b in basis.items():
+        for p, b in self.basis.items():
             c = r[p]
             if c:
                 if r_base and base[p]:
@@ -282,6 +280,13 @@ class ColumnSpan:
                 else:
                     r_base = False
                     r = _minus_times(r, c, b, f)
+        return r, r_base
+
+    def add(self, col: Sequence[int]) -> bool:
+        """Append a column; True if it enlarged the span."""
+        f, basis, base = self.field, self.basis, self._base
+        q = f.q
+        r, r_base = self._reduce(col)
         head = r[: self.dim]
         lead = next(filter(None, head), 0)
         if not lead:

@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's Gaussian elimination
 and field internals: arithmetic is done longhand on (lo, hi) coordinate
 pairs, determinants by permutation expansion, rank by maximal nonzero
 minor search, and inverses by the extended Euclidean algorithm over the
-polynomial ring.  The exceptions are ReferenceSpan, the elimination
-with a FieldSpec method call per entry, kept as the slow path that the
-inlined linalg.ColumnSpan must match, and KERNEL_FIELDS, the fields the
-packed encoder and the inlined span are tested over.
+polynomial ring.  ReferenceSpan, the slow path that the inlined
+linalg.ColumnSpan must match, is built from these pair oracles too, so
+a fault in FieldSpec's arithmetic cannot hide in it.  KERNEL_FIELDS are
+the fields the field arithmetic, the packed encoder and the inlined span
+are tested over.
 """
 
 from itertools import combinations, permutations
@@ -143,6 +144,11 @@ def code_pairs(codes, q):
     return [(e % q, e // q) for e in codes]
 
 
+def pair_code(pair, q):
+    """A reduced (lo, hi) pair -> its display code hi*q + lo."""
+    return pair[1] * q + pair[0]
+
+
 def codes_to_pairs(matrix):
     """Library Matrix -> (lo, hi) pair rows."""
     return [code_pairs(matrix.row(i), matrix.field.q) for i in range(matrix.rows)]
@@ -171,10 +177,11 @@ def worst_case_entry(q, c1, c0):
 # -- reference elimination -------------------------------------------------
 
 class ReferenceSpan:
-    """The column-span elimination spelled out with one FieldSpec.sub and
-    FieldSpec.mul call per entry: the slow path that linalg.ColumnSpan
-    replaced.  Same contract: add(col) -> enlarged?, and basis maps each
-    pivot to its fully reduced basis column.
+    """The column-span elimination spelled out entry by entry in the pair
+    oracles (o_sub, o_mul, ext_euclid_inverse), with no FieldSpec
+    arithmetic: the slow path that linalg.ColumnSpan replaced.  Same
+    contract: add(col) -> enlarged?, and basis maps each pivot to its fully
+    reduced basis column of display codes.
     """
 
     def __init__(self, field, dim):
@@ -183,22 +190,27 @@ class ReferenceSpan:
         self.basis = {}
 
     def add(self, col):
-        f = self.field
-        sub, mul = f.sub, f.mul
+        q, c1, c0 = self.field.q, self.field.c1, self.field.c0
+
+        def times(c, y):
+            return [o_mul(c, b, q, c1, c0) for b in code_pairs(y, q)]
+
+        def minus_times(x, c, y):
+            cy = times(code_pairs([c], q)[0], y)
+            return [pair_code(o_sub(a, b, q), q) for a, b in zip(code_pairs(x, q), cy)]
+
         r = list(col)
         for p, b in self.basis.items():
-            c = r[p]
-            if c:
-                r = [sub(x, mul(c, y)) for x, y in zip(r, b)]
+            if r[p]:
+                r = minus_times(r, r[p], b)
         p = next((i for i in range(self.dim) if r[i]), None)
         if p is None:
             return False
-        pinv = f.inv(r[p])
-        r = [mul(pinv, x) for x in r]
+        pinv = ext_euclid_inverse(code_pairs([r[p]], q)[0], q, c1, c0)
+        r = [pair_code(e, q) for e in times(pinv, r)]
         for s, b in self.basis.items():
-            c = b[p]
-            if c:
-                self.basis[s] = [sub(x, mul(c, y)) for x, y in zip(b, r)]
+            if b[p]:
+                self.basis[s] = minus_times(b, b[p], r)
         self.basis[p] = r
         return True
 
@@ -212,17 +224,15 @@ def sequential_substitution(matrix, received):
     way the erasure-free channel is meant to be decoded; returns the list
     of message symbols (display codes).
     """
-    f = matrix.field
-    k = matrix.rows
+    q, c1, c0 = matrix.field.q, matrix.field.c1, matrix.field.c0
     out = []
-    for i in range(k):
-        acc = received[i]
+    for i in range(matrix.rows):
+        acc = code_pairs([received[i]], q)[0]
         for j in range(i):
-            coef = matrix.entry(j, i)
-            if coef:
-                acc = f.sub(acc, f.mul(out[j], coef))
+            coef = code_pairs([matrix.entry(j, i)], q)[0]
+            acc = o_sub(acc, o_mul(out[j], coef, q, c1, c0), q)
         out.append(acc)  # diagonal entry is 1
-    return out
+    return [pair_code(a, q) for a in out]
 
 
 def admissible_bruteforce(horizon, W, B, N, erased):

@@ -142,6 +142,9 @@ def test_gain_table_empty_cells():
                 assert cell.printed() == ""
             else:
                 assert cell.gain_percent is not None
+    for tv, tu in ((19, 10), (20, 16), (26, 9)):  # outside the ranges: no cell at all
+        with pytest.raises(KeyError, match=rf"no cell \({tv}, {tu}\)"):
+            table.cell(tv, tu)
 
 
 def test_gain_table_excludes_tu_at_or_below_b():

@@ -28,6 +28,27 @@ def test_channel_model_validation():
     ChannelModel(7, 4, 2)
 
 
+def test_erasure_pattern_validation_and_normalisation():
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        ErasurePattern(-1)
+    for erased in ((10,), (-1, 3), (2, 12)):
+        with pytest.raises(ValueError, match="erased indices out of horizon"):
+            ErasurePattern(10, erased)
+    p = ErasurePattern(10, (7, 2, 7, 0, 2))  # unsorted, with repeats
+    assert p.erased == (0, 2, 7)
+    assert p == ErasurePattern(10, (0, 2, 7))
+    assert ErasurePattern(0).as_bits() == []
+
+
+def test_generators_reject_empty_horizons():
+    ch = ChannelModel(7, 4, 2)
+    for horizon in (0, -3):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            enumerate_admissible_patterns(horizon, ch)
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            random_erasure_sequence(horizon, ch, seed=0)
+
+
 def test_empty_pattern_admissible():
     assert is_admissible(ErasurePattern(10), ChannelModel(7, 4, 2)) is True
 

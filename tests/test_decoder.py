@@ -1,9 +1,12 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
+from muxfec import codespec
 from muxfec.channel import (
+    ERASURE_MARK,
     ChannelModel,
     ErasurePattern,
     apply_erasure,
@@ -25,6 +28,8 @@ from muxfec.muxcode import build_mux_code, select_parameters
 from muxfec.singlecode import build_single_code
 
 from oracles import codes_to_pairs, sequential_substitution, unit_in_span_bruteforce
+
+STREAM_SPEC = Path(__file__).resolve().parents[1] / "perfbench/specs/stream_20_10_6_2.json"
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +137,35 @@ def test_received_consistency_checked(example_code):
     with pytest.raises(ValueError):
         decode_message(g, word, ErasurePattern(14, (0,)),
                        block_deadlines(g.rows, g.cols, g.cols - 1))
+    for received in (word[:-1], word + [0]):
+        with pytest.raises(ValueError, match="received length must equal codeword length"):
+            decode_message(g, received, ErasurePattern(14), example_code.symbol_deadlines())
+
+
+def test_single_pattern_decoders_reject_a_pattern_that_does_not_fit_the_codeword():
+    """An erasure past the codeword is an error, not dropped: the pattern's
+    horizon must equal the codeword length n = 24."""
+    code = codespec.load(STREAM_SPEC)
+    g, deadlines = code.G, code.symbol_deadlines()
+    word = code.encode([0] * code.params.k_v, [0] * code.params.k_u)
+    for p in (ErasurePattern(100, (50, 51)), ErasurePattern(100), ErasurePattern(23, (0,))):
+        received = [ERASURE_MARK if t in p else y for t, y in enumerate(word)]
+        for decode in (lambda: earliest_decode_time(g, p, 0), lambda: check_pattern(g, p, deadlines),
+                       lambda: decode_message(g, received, p, deadlines)):
+            with pytest.raises(ValueError, match=f"horizon {p.horizon} != codeword length 24"):
+                decode()
+    assert check_pattern(g, ErasurePattern(24, (20, 21)), deadlines).passed
+
+
+def test_result_for_finds_a_symbol_or_raises(example_code):
+    report = check_pattern(example_code.G, ErasurePattern(14, (0, 1, 2, 3)),
+                           example_code.symbol_deadlines())
+    got = report.result_for("u", 0)
+    assert (got.kind, got.index) == ("u", 0) and got in report.symbols
+    with pytest.raises(KeyError, match=r"no symbol u\[5\]"):
+        report.result_for("u", 5)
+    with pytest.raises(KeyError, match=r"no symbol s\[0\]"):
+        report.result_for("s", 0)
 
 
 def test_decode_rejects_received_symbols_outside_the_field(example_code):

@@ -14,7 +14,16 @@ from muxfec.galois import (
     smallest_nonresidue,
 )
 
-from oracles import ext_euclid_inverse, is_prime_trial, o_add, o_mul, o_sub
+from oracles import (
+    KERNEL_FIELDS,
+    code_pairs,
+    ext_euclid_inverse,
+    is_prime_trial,
+    o_add,
+    o_mul,
+    o_sub,
+    pair_code,
+)
 
 
 def test_default_spec_uses_smallest_nonresidue():
@@ -22,6 +31,8 @@ def test_default_spec_uses_smallest_nonresidue():
     assert smallest_nonresidue(11) == 2
     assert spec.ext_poly() == (0, 9)  # x^2 - 2 over GF(11)
     assert field_spec(2).ext_poly() == (1, 1)  # no non-residue mod 2
+    with pytest.raises(ValueError, match="no quadratic non-residue mod 2"):
+        smallest_nonresidue(2)
 
 
 def test_spec_rejects_composite_and_reducible():
@@ -92,6 +103,21 @@ def test_all_inverses_brute_force(q):
         # brute scan: the inverse is the unique element with product 1
         hits = [b for b in range(spec.order) if spec.mul(a, b) == 1]
         assert hits == [inv]
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS[:4], ids=str)
+def test_single_element_api_matches_pair_oracles(spec):
+    """add, sub, mul and inv on every pair of codes against longhand pair
+    arithmetic, in fields with c1 != 0 (whose x-term the default fields of
+    odd q never exercise) and in field_spec(11)."""
+    q, c1, c0 = spec.q, spec.c1, spec.c0
+    pairs = code_pairs(range(spec.order), q)
+    for (a, pa), (b, pb) in itertools.product(enumerate(pairs), repeat=2):
+        assert spec.add(a, b) == pair_code(o_add(pa, pb, q), q)
+        assert spec.sub(a, b) == pair_code(o_sub(pa, pb, q), q)
+        assert spec.mul(a, b) == pair_code(o_mul(pa, pb, q, c1, c0), q)
+    for a, pa in enumerate(pairs[1:], start=1):
+        assert spec.inv(a) == pair_code(ext_euclid_inverse(pa, q, c1, c0), q)
 
 
 def test_in_base_field():

@@ -154,9 +154,11 @@ def test_is_mds_matches_rank_definition():
 
 def mds_case(rng, spec, k, n, kind):
     """A k x n matrix over all of GF(q^2): "random" (30% zeros), "dense" (no
-    zeros), "vandermonde" (rows x^i at distinct nodes, MDS when n <= q^2) or
-    "lead" (first k columns dependent: column k-1 is a combination of the
-    ones before it, the zero column when k = 1)."""
+    zeros), "base" (no zeros, every entry in GF(q), so that a tall block's
+    dual takes the base-field path of the reduction), "vandermonde" (rows
+    x^i at distinct nodes, MDS when n <= q^2) or "lead" (first k columns
+    dependent: column k-1 is a combination of the ones before it, the zero
+    column when k = 1)."""
     q, c1, c0 = spec.q, spec.c1, spec.c0
     if kind == "vandermonde":
         nodes = rng.sample(range(spec.order), n)
@@ -165,8 +167,9 @@ def mds_case(rng, spec, k, n, kind):
             rows.append([spec.code(*e) for e in power])
             power = [o_mul(e, (x % q, x // q), q, c1, c0) for e, x in zip(power, nodes)]
     else:
-        rows = [[rng.randrange(1, spec.order) if kind == "dense" else random_entry(rng, spec)
-                 for _ in range(n)] for _ in range(k)]
+        top = {"dense": spec.order, "base": q}.get(kind)
+        rows = [[rng.randrange(1, top) if top else random_entry(rng, spec) for _ in range(n)]
+                for _ in range(k)]
     if kind == "lead":
         coef = [(rng.randrange(q), rng.randrange(q)) for _ in range(k - 1)]
         for row in rows:
@@ -202,7 +205,7 @@ def test_is_mds_both_sides_match_bruteforce(spec, monkeypatch):
     q, c1, c0 = spec.q, spec.c1, spec.c0
     verdicts = set()
     for k, n in MDS_SHAPES:
-        kinds = ["random", "dense", "dense", "lead", "lead"]
+        kinds = ["random", "dense", "dense", "base", "base", "lead", "lead"]
         if n <= spec.order:
             kinds += ["vandermonde", "vandermonde"]
         for kind in kinds * 2:
@@ -386,6 +389,15 @@ def test_spec_load_builds_no_packed_rows():
     assert "packed_rows" not in vars(code.G)
     code.encode([0] * code.params.k_v, [0] * code.params.k_u)
     assert "packed_rows" in vars(code.G)
+
+
+def test_matrix_rejects_ragged_rows_and_wrong_vector_length():
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix.from_rows(GF11, [[1, 2, 3], [4, 5]])
+    m = Matrix.from_rows(GF11, [[1, 12, 3], [0, 120, 6]])
+    for vec in ([4], [4, 5, 6]):
+        with pytest.raises(ValueError, match="vector length must equal row count"):
+            m.vec_mul(vec)
 
 
 def test_matrix_dump_round_trip():

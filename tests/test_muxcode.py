@@ -201,6 +201,15 @@ def test_assemble_layout():
     assert [merged.row(i) for i in range(merged.rows)] == [[1, 2, 3, 4, 0], [0, 0, 5, 6, 7]]
     with pytest.raises(ValueError):
         assemble_merged_matrix(g1, Matrix.from_rows(field_spec(7), [[1, 2, 3]]), 1)
+    for m in (-1, 4):  # the overlap must fit in the shorter constituent, 3 columns
+        with pytest.raises(ValueError, match=f"merge length {m} out of range"):
+            assemble_merged_matrix(g1, g2, m)
+
+
+def test_encode_rejects_wrong_message_lengths(example_code):
+    for v, u in (([1] * 4, [1] * 5), ([1] * 5, [1] * 6), ([], [])):
+        with pytest.raises(ValueError, match=r"message lengths must be \(k_v, k_u\)"):
+            example_code.encode(v, u)
 
 
 def test_check_merge_bounds_examples():
