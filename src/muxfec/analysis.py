@@ -196,14 +196,13 @@ def _where_defined(rate: Callable[..., Fraction], *args: int) -> Optional[Fracti
 def gain_table(B: int, N: int, tv_range: range, tu_range: range) -> GainTable:
     """Percent gain of merging over separate encoding per (T_v, T_u) cell.
 
-    Cells outside the regime (T_v <= T_u + B, or T_u <= B) are empty.
+    A cell is empty where gain_fraction's own preconditions reject it:
+    outside the regime (T_v <= T_u + B, or T_u <= B).
     """
     _check_channel(B, N)
     cells = []
     for tv in tv_range:
         for tu in tu_range:
-            if tu > B and tv > tu + B:
-                cells.append(GainCell(tv, tu, gain_fraction(tv, tu, B, N) * 100))
-            else:
-                cells.append(GainCell(tv, tu, None))
+            gain = _where_defined(gain_fraction, tv, tu, B, N)
+            cells.append(GainCell(tv, tu, None if gain is None else gain * 100))
     return GainTable(B, N, tuple(tv_range), tuple(tu_range), tuple(cells))

@@ -76,16 +76,25 @@ def _windows_ok(erased: Sequence[int], starts: Iterable[int], ch: ChannelModel) 
     return True
 
 
+def _tail_ok(erased: Sequence[int], first_new: int, ch: ChannelModel) -> bool:
+    """The window rule for new erasures: erased is sorted, and admissible
+    before its erasures from first_new on were appended.
+
+    Only windows holding a new erasure can change, and of those only the
+    ones starting at an erasure >= first_new - W + 1 need checking (see
+    is_admissible).
+    """
+    return _windows_ok(erased, erased[bisect_left(erased, first_new - ch.W + 1) :], ch)
+
+
 def _extend(erased: list[int], extra: Sequence[int], ch: ChannelModel) -> bool:
     """Append extra to an admissible sorted list if it stays admissible.
 
-    extra is sorted and lies past erased[-1].  Only windows holding a new
-    erasure can change, and of those only the ones starting at an erasure
-    >= extra[0] - W + 1 need checking (see is_admissible).  On a reject
-    the list is rolled back and False returned.
+    extra is sorted and lies past erased[-1]; _tail_ok decides.  On a
+    reject the list is rolled back and False returned.
     """
     erased.extend(extra)
-    if _windows_ok(erased, erased[bisect_left(erased, extra[0] - ch.W + 1) :], ch):
+    if _tail_ok(erased, extra[0], ch):
         return True
     del erased[-len(extra) :]
     return False

@@ -144,9 +144,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    if not args.b > args.n >= 1:
-        raise UsageError(f"need B > N >= 1, got B={args.b} N={args.n}")
-    table = gain_table(args.b, args.n, _parse_range(args.tv_range), _parse_range(args.tu_range))
+    try:
+        table = gain_table(args.b, args.n, _parse_range(args.tv_range), _parse_range(args.tu_range))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.csv:
         sys.stdout.write(table.to_csv(exact=args.exact))
     else:

@@ -5,11 +5,14 @@ positions S exactly when the unit vector e_j lies in the column span of
 the generator restricted to S.  One sweep over time per erasure pattern,
 growing a ColumnSpan of the received columns, gives every symbol's
 earliest decode time; check_pattern, earliest_decode_time and
-decode_message all read it.  decode_message extends each column by its
+decode_message all read it.  The decode times are a dict from row to
+slot that holds only the rows decoded so far, so its size says when
+every row has decoded.  decode_message extends each column by its
 received symbol, so the sweep also yields the decoded values.
 
 One depth-first walk of an erasure-pattern tree (_walk) decodes as it
 goes, so a pattern shares the sweep of its parent up to its last erasure.
+A node of the walk holds its span and its decode times, nothing else.
 It has two callers.  verify_matrix realises the achievability quantifier
 "for every admissible erasure sequence" directly: it walks the
 admissible-pattern tree and checks every pattern's decode times against
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .channel import ERASURE_MARK, ChannelModel, ErasurePattern, _extend
+from .channel import ERASURE_MARK, ChannelModel, ErasurePattern, _tail_ok
 from .linalg import ColumnSpan, Matrix
 
 
@@ -127,51 +130,47 @@ def mux_deadlines(k_v: int, k_u: int, h: int, n: int, T_v: int, T_u: int) -> lis
 
 def _decode_times(
     g: Matrix, p: ErasurePattern, received: Optional[Sequence] = None
-) -> tuple[list[Optional[int]], ColumnSpan]:
-    """Earliest decode time per row of g under p (None where never), and the span.
+) -> tuple[dict[int, int], ColumnSpan]:
+    """Earliest decode time of each row of g that decodes under p, and the span.
 
-    Row j decodes at the slot whose column brings e_j into the span.  With
-    received, each column carries its received symbol.  p must cover
-    exactly the codeword's slots.
+    Row j decodes at the slot whose column brings e_j into the span; a row
+    that never decodes has no entry.  The sweep stops once every row has
+    one.  With received, each column carries its received symbol.  p must
+    cover exactly the codeword's slots.
     """
     if p.horizon != g.cols:
         raise ValueError(f"pattern horizon {p.horizon} != codeword length {g.cols}")
     span = ColumnSpan(g.field, g.rows)
-    times: list[Optional[int]] = [None] * g.rows
-    pending = set(range(g.rows))
+    times: dict[int, int] = {}
     for t in range(g.cols):
         if t not in p:
             col = g.col(t)
-            _add_column(span, col if received is None else col + [received[t]], t, times, pending)
-        if not pending:
+            _add_column(span, col if received is None else col + [received[t]], t, times)
+        if len(times) == g.rows:
             break
     return times, span
 
 
-def _add_column(
-    span: ColumnSpan, col: list[int], t: int, times: list[Optional[int]], pending: set[int]
-) -> None:
-    """The sweep step: add the column of slot t, stamp the coordinates it decodes.
+def _add_column(span: ColumnSpan, col: list[int], t: int, times: dict[int, int]) -> None:
+    """The sweep step: add the column of slot t, stamp the rows it decodes.
 
-    Only the basis columns the add set (span.changed) can have newly
-    become unit vectors, so only the pending ones among them are checked.
+    Only the basis columns the add set can have newly become unit vectors,
+    so only the undecoded rows among the pivots it returns are checked.
     """
-    if span.add(col):
-        for j in span.changed:
-            if j in pending and span.contains_unit(j):
-                times[j] = t
-                pending.discard(j)
+    for j in span.add(col):
+        if j not in times and span.contains_unit(j):
+            times[j] = t
 
 
 def _report(
-    times: Sequence[Optional[int]],
+    times: dict[int, int],
     symbols: Sequence[SymbolDeadline],
     values: Optional[dict[int, int]] = None,
 ) -> DecodeReport:
     """Decode times checked against deadlines; a decoded symbol's value is values[row], if given."""
     results = []
     for s in symbols:
-        t = times[s.row]
+        t = times.get(s.row)
         met = t is not None and t <= s.deadline
         value = None if values is None or t is None else values[s.row]
         results.append(SymbolResult(s.kind, s.index, s.gen_time, s.deadline, t, met, value))
@@ -182,7 +181,7 @@ def earliest_decode_time(g: Matrix, p: ErasurePattern, j: int) -> Optional[int]:
     """Smallest t with e_j in the span of unerased columns <= t; None if never."""
     if not 0 <= j < g.rows:
         raise ValueError(f"symbol index {j} out of range")
-    return _decode_times(g, p)[0][j]
+    return _decode_times(g, p)[0].get(j)
 
 
 def check_pattern(
@@ -224,37 +223,37 @@ def decode_message(
 
 def _walk(
     g: Matrix,
-    admits: Callable[[list[int], int], bool],
-    visit: Callable[[list[int], list[Optional[int]]], object],
+    admits: Callable[[list[int]], bool],
+    visit: Callable[[list[int], dict[int, int]], object],
 ):
     """Depth-first walk of a prefix-closed erasure-pattern tree, decoding as it goes.
 
-    A node is a pattern e1 < ... < ek holding the sweep state at slot ek;
-    the root is the empty pattern.  For each later slot t in order, the
-    node asks admits(erased, t), which either appends t and returns True or
-    leaves erased as it was and returns False.  On True it walks that child
-    from a copy of the state, then pops t; either way it then adds column t
-    itself.  At the last slot its decode times are complete, and
-    visit(erased, times) gets them.  So children are visited before their
-    parent, in increasing order of the added slot.  A truthy return of
-    visit stops the walk and is returned; otherwise None is.
+    A node is a pattern e1 < ... < ek holding its span and decode times at
+    slot ek; the root is the empty pattern.  For each later slot t in
+    order, the node appends t to erased and asks admits(erased) whether
+    that child is in the tree.  If so it walks the child from copies of the
+    span and the times; either way it pops t, then adds column t itself
+    while some row is undecoded.  At the last slot its decode times are
+    complete, and visit(erased, times) gets them.  So children are visited
+    before their parent, in increasing order of the added slot.  A truthy
+    return of visit stops the walk and is returned; otherwise None is.
     """
-    n = g.cols
+    n, k = g.cols, g.rows
     cols = [g.col(t) for t in range(n)]
     erased: list[int] = []  # the current node's pattern, extended and popped in place
 
-    def walk(span: ColumnSpan, times: list, pending: set, start: int):
+    def walk(span: ColumnSpan, times: dict[int, int], start: int):
         for t in range(start, n):
-            if admits(erased, t):
-                stop = walk(span.copy(), times[:], set(pending), t + 1)
-                erased.pop()
-                if stop:
-                    return stop
-            if pending:
-                _add_column(span, cols[t], t, times, pending)
+            erased.append(t)
+            stop = admits(erased) and walk(span.copy(), dict(times), t + 1)
+            erased.pop()
+            if stop:
+                return stop
+            if len(times) < k:
+                _add_column(span, cols[t], t, times)
         return visit(erased, times)
 
-    return walk(ColumnSpan(g.field, g.rows), [None] * g.rows, set(range(g.rows)), 0)
+    return walk(ColumnSpan(g.field, k), {}, 0)
 
 
 def verify_matrix(
@@ -262,25 +261,27 @@ def verify_matrix(
 ) -> VerificationResult:
     """Check every admissible pattern on [0, cols); the first failure wins.
 
-    One _walk over the admissible-pattern tree: channel._extend admits a
-    child, and each visited pattern's decode times are checked against the
-    deadlines.  So every admissible pattern is checked once, the
-    counterexample is the first failing pattern in walk order (children
-    before their parent, in increasing order of the added slot), and
-    patterns_checked counts the patterns checked up to and including it.
+    One _walk over the admissible-pattern tree: channel._tail_ok, the
+    window rule for the new erasure, admits a child, and each visited
+    pattern's decode times are checked against the deadlines; a row with
+    no decode time misses every deadline, however late.  So every
+    admissible pattern is checked once, the counterexample is the first
+    failing pattern in walk order (children before their parent, in
+    increasing order of the added slot), and patterns_checked counts the
+    patterns checked up to and including it.
     """
     n = g.cols
     due = [(s.row, s.deadline) for s in symbols]
     checked = 0
 
-    def visit(erased: list[int], times: list):
+    def visit(erased: list[int], times: dict[int, int]):
         nonlocal checked
         checked += 1
-        if any(times[row] is None or times[row] > deadline for row, deadline in due):
+        if any(row not in times or times[row] > deadline for row, deadline in due):
             return ErasurePattern(n, tuple(erased)), _report(times, symbols)
         return None
 
-    miss = _walk(g, lambda erased, t: _extend(erased, (t,), ch), visit)
+    miss = _walk(g, lambda erased: _tail_ok(erased, erased[-1], ch), visit)
     if miss:
         return VerificationResult(False, checked, *miss)
     return VerificationResult(True, checked, None, None)
@@ -301,19 +302,12 @@ def miss_table(
     prefixes = {p[:i] for p in wanted for i in range(1, len(p) + 1)}
     table: dict[tuple[int, ...], list[SymbolResult]] = {}
 
-    def admits(erased: list[int], t: int) -> bool:
-        erased.append(t)
-        if tuple(erased) in prefixes:
-            return True
-        erased.pop()
-        return False
-
-    def visit(erased: list[int], times: list) -> None:
+    def visit(erased: list[int], times: dict[int, int]) -> None:
         key = tuple(erased)
         if key in wanted:
             table[key] = _report(times, symbols).misses()
 
-    _walk(g, admits, visit)
+    _walk(g, lambda erased: tuple(erased) in prefixes, visit)
     if len(table) != len(wanted):
         bad = sorted(wanted - table.keys())[0]
         raise ValueError(f"pattern {bad} is not an increasing tuple of slots on [0, {g.cols})")

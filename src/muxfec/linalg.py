@@ -12,13 +12,14 @@ comprehensions, one (x - c*y) % q per entry when the scalar and both
 columns lie in GF(q), and through the scalar's FieldSpec.mul_map
 otherwise; no field method is called per entry.  It grows a fully
 reduced column basis with first-nonzero pivoting: deterministic, and
-with no stability considerations in an exact field.  After each add it
-names the basis columns it set, the only ones that can have newly become
-unit vectors.  rank, is_mds and the decoder's unit-vector membership and
-value recovery all rest on it.  is_mds checks the side with fewer rows:
-a k x n code is MDS exactly when its dual is, so a tall matrix (2k > n)
-is brought to systematic form [I | A] by the span's own reduction,
-ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows, is checked.
+with no stability considerations in an exact field.  Each add returns
+the pivots whose basis columns it set, the only ones that can have newly
+become unit vectors.  rank, is_mds and the decoder's unit-vector
+membership and value recovery all rest on it.  is_mds checks the side
+with fewer rows: a k x n code is MDS exactly when its dual is, so a tall
+matrix (2k > n) is brought to systematic form [I | A] by the span's own
+reduction, ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows,
+is checked.
 """
 
 from __future__ import annotations
@@ -240,10 +241,10 @@ class ColumnSpan:
     31,436/88; _times build 254/233, stream 5,445/56; FieldSpec.inv build
     30,941/233, stream 7,357/56.  Every branch is taken, so each stays.
 
-    After a successful add, `changed` lists the pivots whose basis columns
-    it set: the new pivot, then each pivot rebound in back-substitution.
-    Only these can have newly become unit vectors; a basis column that
-    already is one has a 0 at the new pivot, so it is never rebound.
+    add returns the pivots whose basis columns it set: the new pivot, then
+    each pivot rebound in back-substitution.  Only these can have newly
+    become unit vectors; a basis column that already is one has a 0 at the
+    new pivot, so it is never rebound.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
@@ -251,7 +252,6 @@ class ColumnSpan:
         self.dim = dim
         self.basis: dict[int, list[int]] = {}  # pivot -> basis column
         self._base: dict[int, bool] = {}  # pivot -> basis column lies in GF(q)
-        self.changed: list[int] = []
 
     @property
     def dimension(self) -> int:
@@ -282,19 +282,20 @@ class ColumnSpan:
                     r = _minus_times(r, c, b, f)
         return r, r_base
 
-    def add(self, col: Sequence[int]) -> bool:
-        """Append a column; True if it enlarged the span."""
+    def add(self, col: Sequence[int]) -> list[int]:
+        """Append a column; the pivots whose basis columns it set, the new
+        pivot first, or [] if the column was already in the span."""
         f, basis, base = self.field, self.basis, self._base
         q = f.q
         r, r_base = self._reduce(col)
         head = r[: self.dim]
         lead = next(filter(None, head), 0)
         if not lead:
-            return False
+            return []
         p = head.index(lead)
         pinv = f.inv(lead)
         r = [pinv * x % q for x in r] if r_base else _times(pinv, r, f)
-        self.changed = changed = [p]
+        changed = [p]
         # rebind, never mutate, a basis column: copy() shares them
         for s, b in basis.items():
             c = b[p]
@@ -307,7 +308,7 @@ class ColumnSpan:
                     basis[s] = _minus_times(b, c, r, f)
         basis[p] = r
         base[p] = r_base
-        return True
+        return changed
 
     def contains_unit(self, j: int) -> bool:
         """True iff e_j lies in the span."""

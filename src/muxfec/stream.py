@@ -90,9 +90,10 @@ class StreamState:
     packet reduces the lowest lane of each diagonal once, with
     Matrix.lane_codes.  Lane j of a diagonal is sent j slots after the
     diagonal starts, so it holds every symbol that has arrived by then.
-    G is causal (row r is zero before its symbol's arrival slot), so that
-    is every symbol with a nonzero entry in lane j, and a complete
-    diagonal sends exactly its block encoding.
+    G must be causal (row r zero before its symbol's arrival slot), so that
+    this is every symbol with a nonzero entry in lane j, and a complete
+    diagonal sends exactly its block encoding; a G that is not raises
+    ValueError here, since its packets would not.
     """
 
     code: MuxCode
@@ -106,10 +107,15 @@ class StreamState:
     routes: list[tuple[int, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        g = self.code.G
         self.diagonals = [0] * self.code.params.n
-        lane_bits, packed = self.code.G.packed_rows
-        self.routes = [(s.gen_time, *(p >> s.gen_time * lane_bits for p in packed[s.row]))
-                       for s in self.code.symbol_deadlines()]
+        lane_bits, packed = g.packed_rows
+        self.routes = []
+        for s in self.code.symbol_deadlines():
+            if any(g.row(s.row)[: s.gen_time]):
+                raise ValueError(f"G is not causal: row {s.row} ({s.kind}[{s.index}]) is nonzero"
+                                 f" before its arrival slot {s.gen_time}")
+            self.routes.append((s.gen_time, *(p >> s.gen_time * lane_bits for p in packed[s.row])))
 
     def push(self, v_t: Sequence[int], u_t: Sequence[int]) -> list[int]:
         """Consume one slot's message symbols and emit one packet.

@@ -15,6 +15,8 @@ from muxfec.channel import (
     read_trace,
     write_trace,
     ERASURE_MARK,
+    _extend,
+    _tail_ok,
 )
 
 from oracles import admissible_bruteforce
@@ -84,6 +86,25 @@ def test_admissibility_matches_bruteforce():
             erased = tuple(sorted(rng.sample(range(horizon), rng.randint(0, min(6, horizon)))))
             p = ErasurePattern(horizon, erased)
             assert is_admissible(p, ch) == admissible_bruteforce(horizon, W, B, N, erased)
+
+
+@pytest.mark.parametrize("W,B,N", CHANNELS[:3])
+def test_new_erasure_rule_matches_bruteforce(W, B, N):
+    """The rule the verifier's walk admits a child by: every one-slot
+    extension of every admissible pattern, against the definition.  _extend
+    agrees, and rolls a rejected slot back."""
+    ch = ChannelModel(W, B, N)
+    verdicts = set()
+    for horizon in range(1, 11):
+        for p in enumerate_admissible_patterns(horizon, ch):
+            for t in range(p.erased[-1] + 1 if p.erased else 0, horizon):
+                want = admissible_bruteforce(horizon, W, B, N, (*p.erased, t))
+                assert _tail_ok([*p.erased, t], t, ch) == want, (horizon, p.erased, t)
+                erased = list(p.erased)
+                assert _extend(erased, (t,), ch) == want
+                assert erased == ([*p.erased, t] if want else list(p.erased))
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_enumerate_horizon3_exact():

@@ -297,7 +297,9 @@ def committed_size_code():
 
 def _verifier_variants(code):
     """(matrix, channel, deadline lists): the code's own gate with each deadline
-    tightened by one, then a zeroed column, then a window W < n."""
+    tightened by one, then a zeroed column, then the first symbol's row
+    zeroed, so that it never decodes and must miss even a deadline of n,
+    then a window W < n."""
     g, symbols, ch = code.G, list(code.symbol_deadlines()), code.verification_channel()
     tightened = [symbols]
     for i, s in enumerate(symbols):
@@ -308,6 +310,10 @@ def _verifier_variants(code):
     zero = g.cols // 2
     data = tuple(0 if j % g.cols == zero else e for j, e in enumerate(g.data))
     yield Matrix(g.rows, g.cols, g.field, data), ch, [symbols]
+    first = symbols[0]
+    late = [SymbolDeadline(first.kind, first.index, first.row, first.gen_time, g.cols), *symbols[1:]]
+    data = tuple(0 if j // g.cols == first.row else e for j, e in enumerate(g.data))
+    yield Matrix(g.rows, g.cols, g.field, data), ch, [symbols, late]
     yield g, ChannelModel(max(g.cols - 4, ch.B + 1), ch.B, ch.N), [symbols]
 
 

@@ -274,8 +274,22 @@ def random_entry(rng, spec):
 def test_column_span_matches_reference(spec):
     """The inlined elimination against the FieldSpec-method one: the same
     verdict on every add and the same basis after it, on columns with tails,
-    all in GF(q) or not, and on copies taken midway."""
+    all in GF(q) or not, and on copies taken midway.  add returns exactly
+    the pivots whose basis columns it created or rebound, told apart by
+    identity, with the new pivot first, and [] exactly where the reference
+    finds the column already in the span."""
     rng = random.Random(spec.q * 10 + spec.c1)
+
+    def step(span, ref, col):
+        before = dict(span.basis)
+        got = span.add(col)
+        assert (got == []) == (not ref.add(col))
+        assert span.basis == ref.basis
+        assert sorted(got) == sorted(p for p, b in span.basis.items() if b is not before.get(p))
+        assert not got or got[0] not in before
+        for p, flagged in span._base.items():  # a flag in GF(q) is never wrong
+            assert not flagged or max(span.basis[p]) < spec.q
+
     for trial in range(150):
         dim, tail = rng.randint(1, 6), rng.randint(0, 3)
         base_only = trial % 3 == 0  # every column in GF(q): the (x - c*y) % q path only
@@ -288,14 +302,10 @@ def test_column_span_matches_reference(spec):
             if j == adds // 2:
                 snapshot, ref_snapshot = span.copy(), ReferenceSpan(spec, dim)
                 ref_snapshot.basis = dict(ref.basis)
-            assert span.add(col) == ref.add(col)
-            assert span.basis == ref.basis
-            for p, flagged in span._base.items():  # a flag in GF(q) is never wrong
-                assert not flagged or max(span.basis[p]) < spec.q
+            step(span, ref, col)
         # the copy keeps growing on its own, still equal to the reference
-        col = [random_entry(rng, spec) for _ in range(dim + tail)]
-        assert snapshot.add(col) == ref_snapshot.add(col)
-        assert snapshot.basis == ref_snapshot.basis
+        for _ in range(dim + 1):
+            step(snapshot, ref_snapshot, [random_entry(rng, spec) for _ in range(dim + tail)])
 
 
 def reference_units(ref):
@@ -305,24 +315,25 @@ def reference_units(ref):
 
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
 def test_add_column_stamps_what_a_full_scan_finds(spec):
-    """The sweep step checks only the basis columns an add changed; the
-    coordinates it stamps must be exactly the pending ones that a full scan
-    of the reference span finds to be units, on columns with and without
-    tails, and on a copy taken midway."""
+    """The sweep step checks only the basis columns an add set; the rows it
+    stamps must be exactly the undecoded ones that a full scan of the
+    reference span finds to be units, on columns with and without tails,
+    and on a copy taken midway."""
     rng = random.Random(spec.q * 13 + spec.c1)
 
     def step(state, ref, col, t):
-        span, times, pending = state
-        before = set(pending)
-        _add_column(span, col, t, times, pending)
+        span, times = state
+        before = dict(times)
+        _add_column(span, col, t, times)
         ref.add(col)
-        assert before - pending == reference_units(ref) & before
-        assert all(times[j] == t for j in before - pending)
-        assert all(times[j] is None for j in pending)
+        new = times.keys() - before.keys()
+        assert new == reference_units(ref) - before.keys()
+        assert all(times[j] == t for j in new)
+        assert {j: times[j] for j in before} == before
 
     for trial in range(150):
         dim, tail = rng.randint(1, 6), rng.choice([0, 0, 1, 3])
-        state = (ColumnSpan(spec, dim), [None] * dim, set(range(dim)))
+        state = (ColumnSpan(spec, dim), {})
         ref = ReferenceSpan(spec, dim)
         adds = rng.randint(1, 2 * dim + 2)
         for t in range(adds):
@@ -330,7 +341,7 @@ def test_add_column_stamps_what_a_full_scan_finds(spec):
             if trial % 3 == 0:
                 col = [e % spec.q for e in col]
             if t == adds // 2:
-                copied = (state[0].copy(), state[1][:], set(state[2]))
+                copied = (state[0].copy(), dict(state[1]))
                 ref_copy = ReferenceSpan(spec, dim)
                 ref_copy.basis = dict(ref.basis)
             step(state, ref, col, t)

@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from muxfec import codespec
 from muxfec.channel import ErasurePattern, is_admissible, random_erasure_sequence
 from muxfec.decoder import check_pattern, verify_achievable
 from muxfec.linalg import Matrix
@@ -18,6 +20,8 @@ from muxfec.stream import (
 )
 
 from oracles import KERNEL_FIELDS, code_pairs, codes_to_pairs, mat_vec, worst_case_entry
+
+STREAM_SPEC = Path(__file__).resolve().parents[1] / "perfbench/specs/stream_20_10_6_2.json"
 
 
 def zero_messages(code, slots):
@@ -127,6 +131,23 @@ def test_stream_at_worst_case_packing_width(example_code, spec):
     packets = stream_encode([([top] * p.k_v, [top] * p.k_u)] * (3 * p.n), code)
     for d in range(2 * p.n + 1):
         assert [packets[d + j][j] for j in range(p.n)] == want, f"diagonal {d}"
+
+
+def test_stream_rejects_a_generator_that_is_not_causal(tmp_path):
+    """An entry of G before its row's arrival slot would reach a packet
+    before its symbol arrives.  Such a spec still loads, but the encoder
+    refuses it, naming the row and its arrival slot: v[2] arrives at 2."""
+    d = json.loads(STREAM_SPEC.read_text(encoding="utf-8"))
+    n = codespec.load(STREAM_SPEC).params.n
+    assert d["matrix"][2 * n] == 0
+    d["matrix"][2 * n] = 1
+    path = tmp_path / "not_causal.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code = codespec.load(path)
+    with pytest.raises(ValueError, match=r"row 2 \(v\[2\]\) is nonzero before its arrival slot 2"):
+        StreamState(code)
+    with pytest.raises(ValueError, match="not causal"):
+        stream_encode(zero_messages(code, 72), code)
 
 
 @pytest.mark.parametrize("bad", [2.5, None, True, False, "3"], ids=repr)
