@@ -1,0 +1,297 @@
+#!/usr/bin/env python3
+"""Mutation table: every mutant of src/muxfec must make its named tests fail.
+
+Usage, from the repository root:
+
+    python scripts/mutants.py
+
+Each row of MUTANTS gives a file under src/muxfec, an exact text that
+occurs once in it, the text that replaces it, and the pytest node ids
+expected to fail.  For each mutant the script copies src/ to a temporary
+directory, applies the mutant there and runs the named tests against the
+copy.  A test counts as failed when it fails or errors, and a
+parametrized one when any of its cases does.
+pyproject.toml puts the checkout's src/ first on pytest's path, so the
+copy is put there instead (``-o pythonpath=``) as well as on PYTHONPATH.
+Nothing in the checkout changes.
+
+The script exits 1 if a mutant's old text no longer occurs exactly once,
+if an expected test passes (the mutant survives it), or if pytest errors
+or times out.  A change that claims a test catches a bug adds the
+mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+ACCEPTANCE, CHANNEL, CLI, DECODER, GALOIS, LINALG, STREAM = (
+    f"tests/test_{m}.py::" for m in ("acceptance", "channel", "cli", "decoder", "galois", "linalg", "stream"))
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/muxfec
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # -- the packed encoding kernel and the GF(q^2) product ----------------------
+    Mutant(
+        "packing width one bit short", "linalg.py",
+        "w = (2 * self.rows * (q - 1) ** 2).bit_length() or 1",
+        "w = (2 * self.rows * (q - 1) ** 2).bit_length() - 1 or 1",
+        (f"{LINALG}test_vec_mul_at_worst_case_packing_width",
+         f"{STREAM}test_stream_at_worst_case_packing_width"),
+    ),
+    Mutant(
+        "packed map entries swapped", "linalg.py",
+        "p0 |= (m10 << w | m00) << 2 * j * w",
+        "p0 |= (m00 << w | m10) << 2 * j * w",
+        (f"{LINALG}test_vec_mul_matches_pair_oracle", f"{STREAM}test_packet_bytes_pinned"),
+    ),
+    Mutant(
+        "vec_mul accepts any int subclass", "linalg.py",
+        "            if type(v) is not int:",
+        "            if not isinstance(v, int):",
+        (f"{LINALG}test_vec_mul_rejects_non_int_symbols",),
+    ),
+    Mutant(
+        "vec_mul without the mod-q^2 reduction", "linalg.py",
+        "            c = v % order",
+        "            c = v",
+        (f"{LINALG}test_vec_mul_matches_pair_oracle",),
+    ),
+    Mutant(
+        "mul_map without its c1 term", "galois.py",
+        "return e0, -self.c0 * e1 % q, e1, (e0 - self.c1 * e1) % q",
+        "return e0, -self.c0 * e1 % q, e1, e0 % q",
+        (f"{GALOIS}test_single_element_api_matches_pair_oracles",
+         f"{LINALG}test_column_span_matches_reference", f"{LINALG}test_vec_mul_matches_pair_oracle"),
+    ),
+    Mutant(
+        "mul with m01 and m10 swapped", "galois.py",
+        "return (m10 * b0 + m11 * b1) % q * q + (m00 * b0 + m01 * b1) % q",
+        "return (m01 * b0 + m11 * b1) % q * q + (m00 * b0 + m10 * b1) % q",
+        (f"{GALOIS}test_mul_examples", f"{GALOIS}test_single_element_api_matches_pair_oracles"),
+    ),
+    Mutant(
+        "stream encoder takes a symbol one slot before its arrival", "stream.py",
+        "            if c and gen_time <= t:",
+        "            if c and gen_time <= t + 1:",
+        (f"{STREAM}test_single_nonzero_message_traces_one_diagonal",
+         f"{STREAM}test_packet_bytes_pinned"),
+    ),
+    Mutant(
+        "stream encoder accepts any int subclass", "stream.py",
+        "            if type(sym) is not int:",
+        "            if not isinstance(sym, int):",
+        (f"{STREAM}test_push_rejects_non_int_symbols",),
+    ),
+    # -- the ColumnSpan elimination ----------------------------------------------
+    Mutant(
+        "_minus_times GF(q) path drops the x coordinate", "linalg.py",
+        "        return [(a // q - c * (b // q)) % q * q + (a - c * b) % q for a, b in zip(x, y)]",
+        "        return [(a // q) % q * q + (a - c * b) % q for a, b in zip(x, y)]",
+        (f"{LINALG}test_column_span_matches_reference", f"{LINALG}test_column_span_tracks_rank"),
+    ),
+    Mutant(
+        "_times with swapped map entries", "linalg.py",
+        "    return [(m10 * b + m11 * (b // q)) % q * q + (m00 * b + m01 * (b // q)) % q for b in y]",
+        "    return [(m01 * b + m11 * (b // q)) % q * q + (m00 * b + m10 * (b // q)) % q for b in y]",
+        (f"{LINALG}test_column_span_matches_reference", f"{LINALG}test_column_span_tracks_rank"),
+    ),
+    Mutant(
+        "_reduce never clears its GF(q) flag", "linalg.py",
+        "                    r_base = False\n                    r = _minus_times(r, c, b, f)",
+        "                    r = _minus_times(r, c, b, f)",
+        (f"{LINALG}test_column_span_matches_reference",
+         f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
+    ),
+    Mutant(
+        "copy shares the GF(q) flags", "linalg.py",
+        "        other._base = dict(self._base)",
+        "        other._base = self._base",
+        (f"{LINALG}test_column_span_matches_reference",),
+    ),
+    Mutant(
+        "add returns only the new pivot", "linalg.py",
+        "        return changed\n",
+        "        return changed[:1]\n",
+        (f"{LINALG}test_column_span_matches_reference",
+         f"{LINALG}test_add_column_stamps_what_a_full_scan_finds",
+         f"{DECODER}test_verifier_matches_bruteforce"),
+    ),
+    Mutant(
+        "add does not record rebound pivots", "linalg.py",
+        "                changed.append(s)\n",
+        "",
+        (f"{LINALG}test_column_span_matches_reference",
+         f"{LINALG}test_add_column_stamps_what_a_full_scan_finds"),
+    ),
+    Mutant(
+        "add rewrites a basis column in place", "linalg.py",
+        "                    basis[s] = [(x - c * y) % q for x, y in zip(b, r)]",
+        "                    b[:] = [(x - c * y) % q for x, y in zip(b, r)]",
+        (f"{LINALG}test_column_span_matches_reference", f"{DECODER}test_verifier_matches_bruteforce"),
+    ),
+    Mutant(
+        "add skips back-substitution", "linalg.py",
+        "        for s, b in basis.items():\n            c = b[p]",
+        "        for s, b in ():\n            c = b[p]",
+        (f"{LINALG}test_column_span_tracks_rank", f"{LINALG}test_column_span_matches_reference"),
+    ),
+    # -- is_mds on the side with fewer rows --------------------------------------
+    Mutant(
+        "is_mds side condition flipped", "linalg.py",
+        "    if 2 * dim > g.cols:",
+        "    if 2 * dim < g.cols:",
+        (f"{LINALG}test_is_mds_both_sides_match_bruteforce",),
+    ),
+    Mutant(
+        "is_mds never takes the dual", "linalg.py",
+        "    if 2 * dim > g.cols:",
+        "    if False:",
+        (f"{LINALG}test_is_mds_both_sides_match_bruteforce",),
+    ),
+    Mutant(
+        "_dual_columns goes on past dependent leading columns", "linalg.py",
+        "            return None\n    n_k",
+        "            pass\n    n_k",
+        (f"{LINALG}test_is_mds_matches_rank_definition",
+         f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
+    ),
+    Mutant(
+        "_dual_columns reads the head instead of the tail", "linalg.py",
+        "rows = [span._reduce(c + [0] * k)[0][k:] + ",
+        "rows = [span._reduce(c + [0] * k)[0][:k] + ",
+        (f"{LINALG}test_is_mds_matches_rank_definition",
+         f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
+    ),
+    # -- the window rule ------------------------------------------------------------
+    Mutant(
+        "new-erasure window rule starts one window late", "channel.py",
+        "erased[bisect_left(erased, first_new - ch.W + 1) :]",
+        "erased[bisect_left(erased, first_new + 1) :]",
+        (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
+         f"{CHANNEL}test_enumerate_matches_subset_filter"),
+    ),
+    Mutant(
+        "new-erasure window rule starts one slot late", "channel.py",
+        "erased[bisect_left(erased, first_new - ch.W + 1) :]",
+        "erased[bisect_left(erased, first_new - ch.W + 2) :]",
+        (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
+         f"{CHANNEL}test_enumerate_matches_subset_filter"),
+    ),
+    # -- the decode sweep and the verifier's walk ---------------------------------
+    Mutant(
+        "_decode_times stamps one slot late", "decoder.py",
+        "_add_column(span, col if received is None else col + [received[t]], t, times)",
+        "_add_column(span, col if received is None else col + [received[t]], t + 1, times)",
+        (f"{DECODER}test_no_erasures_sequential_times", f"{DECODER}test_example_urgent_anchor_burst",
+         f"{DECODER}test_decoder_times_never_beat_span_rank",
+         f"{ACCEPTANCE}test_criterion_4_decode_time_anchors"),
+    ),
+    Mutant(
+        "_walk does not pop when admits is false", "decoder.py",
+        "            erased.pop()\n            if stop:",
+        "            if stop is not False:\n                erased.pop()\n            if stop:",
+        (f"{DECODER}test_verifier_matches_bruteforce", f"{DECODER}test_miss_table_matches_check_pattern"),
+    ),
+    Mutant(
+        "_walk shares the parent's span", "decoder.py",
+        "walk(span.copy(), dict(times), t + 1)",
+        "walk(span, dict(times), t + 1)",
+        (f"{DECODER}test_verifier_matches_bruteforce",),
+    ),
+    Mutant(
+        "a row that never decodes counts as met (default time)", "decoder.py",
+        "if any(row not in times or times[row] > deadline for row, deadline in due):",
+        "if any(times.get(row, n) > deadline for row, deadline in due):",
+        (f"{DECODER}test_verifier_matches_bruteforce",),
+    ),
+    Mutant(
+        "a row that never decodes counts as met (skipped)", "decoder.py",
+        "if any(row not in times or times[row] > deadline for row, deadline in due):",
+        "if any(row in times and times[row] > deadline for row, deadline in due):",
+        (f"{DECODER}test_verifier_matches_bruteforce",),
+    ),
+    # -- output paths are checked before any work ---------------------------------
+    Mutant(
+        "verify --report checked only after the walk", "cli.py",
+        "    if args.report:\n        _check_out(args.report)\n",
+        "",
+        (f"{CLI}test_build_rejects_unusable_out_before_building",),
+    ),
+    Mutant(
+        "simulate --trace checked only after sampling", "cli.py",
+        "    if args.trace:\n        _check_out(args.trace)\n",
+        "",
+        (f"{CLI}test_build_rejects_unusable_out_before_building",),
+    ),
+)
+
+
+def failed_ids(output: str) -> list[str]:
+    """The node ids of pytest's FAILED and ERROR summary lines (-rfE)."""
+    return [line.split(" ", 1)[1].split(" - ")[0] for line in output.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))]
+
+
+def caught_by(test: str, failed: list[str]) -> bool:
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def run_mutant(m: Mutant, scratch: Path) -> tuple[bool, str]:
+    """(caught by every named test, detail) for one mutant in a fresh copy of src/."""
+    copy = Path(tempfile.mkdtemp(dir=scratch))
+    shutil.copytree(ROOT / "src", copy / "src")
+    target = copy / "src" / "muxfec" / m.file
+    text = target.read_text(encoding="utf-8")
+    if text.count(m.old) != 1:
+        return False, f"old text occurs {text.count(m.old)} times in {m.file}"
+    target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider",
+           "-o", f"pythonpath={copy / 'src'}", *m.tests]
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"pytest timed out after {TIMEOUT_S} s"
+    if proc.returncode not in (0, 1):
+        return False, f"pytest exited {proc.returncode}: {proc.stdout[-500:]}{proc.stderr[-500:]}"
+    failed = failed_ids(proc.stdout)
+    survived = [t for t in m.tests if not caught_by(t, failed)]
+    if survived:
+        return False, f"survives {', '.join(survived)}"
+    return True, f"caught by {len(failed)} failing test(s)"
+
+
+def main() -> int:
+    start, bad = time.perf_counter(), 0
+    with tempfile.TemporaryDirectory(prefix="muxfec-mutants-") as tmp:
+        for m in MUTANTS:
+            t0 = time.perf_counter()
+            ok, detail = run_mutant(m, Path(tmp))
+            bad += not ok
+            print(f"{'caught' if ok else 'FAILED'}  {m.name}: {detail} "
+                  f"[{time.perf_counter() - t0:.1f} s]", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

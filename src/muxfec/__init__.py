@@ -11,7 +11,7 @@ analysis against the separate-encoding baseline, and a streaming simulator.
 __version__ = "0.1.0"
 
 from .galois import FieldSpec
-from .linalg import Matrix, is_mds, rank
+from .linalg import Matrix, is_mds
 from .channel import (
     ChannelModel,
     ErasurePattern,
@@ -25,14 +25,11 @@ from .muxcode import (
     MuxCode,
     MuxParams,
     build_mux_code,
-    check_merge_bounds,
-    merge_codewords,
     select_parameters,
 )
-from .decoder import DecodeReport, decode_message, earliest_decode_time, verify_achievable
+from .decoder import DecodeReport, decode_message, verify_achievable
 from .analysis import (
     capacity,
-    case_m_small_bound,
     gain_table,
     mux_sum_rate,
     rate_report,
@@ -53,18 +50,13 @@ __all__ = [
     "build_mux_code",
     "build_single_code",
     "capacity",
-    "case_m_small_bound",
-    "check_merge_bounds",
     "decode_message",
-    "earliest_decode_time",
     "enumerate_admissible_patterns",
     "gain_table",
     "is_admissible",
     "is_mds",
-    "merge_codewords",
     "mux_sum_rate",
     "random_erasure_sequence",
-    "rank",
     "rate_report",
     "select_parameters",
     "separate_sum_rate",

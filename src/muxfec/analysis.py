@@ -45,16 +45,6 @@ def mux_sum_rate(T_v: int, B: int, N: int) -> Fraction:
     return max(burst, rand)
 
 
-def case_m_small_bound(T_v: int, B: int, N: int) -> Fraction:
-    """Intermediate sum-rate bound for merge lengths 1 <= m <= N-1.
-
-    (T_v-2N+3)/(T_v-3N+4+2B); strictly below mux_sum_rate in both
-    regimes.
-    """
-    _check_merged(T_v, B, N)
-    return Fraction(T_v - 2 * N + 3, T_v - 3 * N + 4 + 2 * B)
-
-
 def separate_sum_rate(T_v: int, T_u: int, B: int, N: int) -> Fraction:
     """Time-sharing baseline at the merged code's k_v : k_u proportions.
 

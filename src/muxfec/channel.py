@@ -6,6 +6,11 @@ windows that start at an erasure can break this rule.  Slots outside the
 modelled horizon count as unerased: a block codeword is a finite excerpt
 of the infinite packet stream, and unconstrained padding would forbid
 nothing.
+
+The admissible patterns of a horizon form a tree (drop the last erasure
+and a pattern stays admissible), which the verifier walks without listing.
+enumerate_admissible_patterns lists it; it is the reference the walk's
+tests compare against.
 """
 
 from __future__ import annotations
@@ -183,23 +188,3 @@ def write_trace(path, p: ErasurePattern):
     with open(path, "w", encoding="utf-8") as fh:
         for b in p.as_bits():
             fh.write(f"{b}\n")
-
-
-def read_trace(path) -> ErasurePattern:
-    """Parse a channel trace file; any token other than 0 or 1 is a ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        bits = [line.strip() for line in fh if line.strip()]
-    bad = set(bits) - {"0", "1"}
-    if bad:
-        raise ValueError(f"trace tokens must be 0 or 1, got {sorted(bad)}")
-    return ErasurePattern(len(bits), tuple(t for t, b in enumerate(bits) if b == "1"))
-
-
-def pattern_count_closed_form(horizon: int, ch: ChannelModel) -> int:
-    """Admissible-pattern count for W >= horizon: N-subsets plus longer bursts."""
-    from math import comb
-
-    total = sum(comb(horizon, j) for j in range(ch.N + 1))
-    for blen in range(ch.N + 1, ch.B + 1):
-        total += max(0, horizon - blen + 1)
-    return total

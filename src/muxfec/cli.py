@@ -132,6 +132,8 @@ def cmd_verify(args) -> int:
         if args.w <= code.params.B:
             raise UsageError(f"--w must exceed B={code.params.B}")
         ch = type(ch)(args.w, ch.B, ch.N)
+    if args.report:
+        _check_out(args.report)
     result = verify_achievable(code, ch)
     payload = result.to_dict()
     payload["W"] = ch.W
@@ -160,6 +162,8 @@ def cmd_simulate(args) -> int:
     if args.slots < code.params.n:
         raise UsageError(f"--slots must be at least n={code.params.n}")
     seed = _seed_from(args)
+    if args.trace:
+        _check_out(args.trace)
     seq = random_erasure_sequence(args.slots, code.verification_channel(), seed)
     if args.trace:
         with _writing(args.trace):

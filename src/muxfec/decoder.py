@@ -4,11 +4,11 @@ For a linear code, message symbol j is recoverable from the received
 positions S exactly when the unit vector e_j lies in the column span of
 the generator restricted to S.  One sweep over time per erasure pattern,
 growing a ColumnSpan of the received columns, gives every symbol's
-earliest decode time; check_pattern, earliest_decode_time and
-decode_message all read it.  The decode times are a dict from row to
-slot that holds only the rows decoded so far, so its size says when
-every row has decoded.  decode_message extends each column by its
-received symbol, so the sweep also yields the decoded values.
+earliest decode time; check_pattern and decode_message both read it.
+The decode times are a dict from row to slot that holds only the rows
+decoded so far, so its size says when every row has decoded.
+decode_message extends each column by its received symbol, so the sweep
+also yields the decoded values.
 
 One depth-first walk of an erasure-pattern tree (_walk) decodes as it
 goes, so a pattern shares the sweep of its parent up to its last erasure.
@@ -175,13 +175,6 @@ def _report(
         value = None if values is None or t is None else values[s.row]
         results.append(SymbolResult(s.kind, s.index, s.gen_time, s.deadline, t, met, value))
     return DecodeReport(tuple(results))
-
-
-def earliest_decode_time(g: Matrix, p: ErasurePattern, j: int) -> Optional[int]:
-    """Smallest t with e_j in the span of unerased columns <= t; None if never."""
-    if not 0 <= j < g.rows:
-        raise ValueError(f"symbol index {j} out of range")
-    return _decode_times(g, p)[0].get(j)
 
 
 def check_pattern(

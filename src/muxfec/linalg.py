@@ -14,10 +14,10 @@ otherwise; no field method is called per entry.  It grows a fully
 reduced column basis with first-nonzero pivoting: deterministic, and
 with no stability considerations in an exact field.  Each add returns
 the pivots whose basis columns it set, the only ones that can have newly
-become unit vectors.  rank, is_mds and the decoder's unit-vector
-membership and value recovery all rest on it.  is_mds checks the side
-with fewer rows: a k x n code is MDS exactly when its dual is, so a tall
-matrix (2k > n) is brought to systematic form [I | A] by the span's own
+become unit vectors.  is_mds and the decoder's unit-vector membership
+and value recovery all rest on it.  is_mds checks the side with fewer
+rows: a k x n code is MDS exactly when its dual is, so a tall matrix
+(2k > n) is brought to systematic form [I | A] by the span's own
 reduction, ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows,
 is checked.
 """
@@ -53,10 +53,6 @@ class Matrix:
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
         return Matrix(r, c, field, tuple(e for row in rows for e in row))
-
-    @staticmethod
-    def identity(field: FieldSpec, n: int) -> "Matrix":
-        return Matrix.from_rows(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int) -> int:
         return self.data[i * self.cols + j]
@@ -131,19 +127,6 @@ class Matrix:
             "cols": self.cols,
             "entries": list(self.data),
         }
-
-    @staticmethod
-    def from_dump(d: dict) -> "Matrix":
-        field = FieldSpec(d["q"], d["ext_poly"][0], d["ext_poly"][1])
-        return Matrix(d["rows"], d["cols"], field, tuple(d["entries"]))
-
-
-def rank(m: Matrix) -> int:
-    """Column rank, which equals the row rank."""
-    span = ColumnSpan(m.field, m.rows)
-    for j in range(m.cols):
-        span.add(m.col(j))
-    return span.dimension
 
 
 def is_mds(g: Matrix) -> bool:
@@ -252,10 +235,6 @@ class ColumnSpan:
         self.dim = dim
         self.basis: dict[int, list[int]] = {}  # pivot -> basis column
         self._base: dict[int, bool] = {}  # pivot -> basis column lies in GF(q)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
     def copy(self) -> "ColumnSpan":
         """An independent span.  add rebinds basis columns and never

@@ -155,21 +155,9 @@ class MuxCode:
         return self.G.vec_mul(list(v) + list(u))
 
 
-def merge_codewords(
-    field: FieldSpec, xv: Sequence[int], xu: Sequence[int], m: int
-) -> list[int]:
-    """Overlap-add of two codewords on their middle m positions."""
-    if not 0 <= m <= min(len(xv), len(xu)):
-        raise ValueError(f"merge length {m} out of range")
-    split = len(xv) - m
-    out = list(xv[:split])
-    out += [field.add(xv[split + j], xu[j]) for j in range(m)]
-    out += list(xu[m:])
-    return out
-
-
 def assemble_merged_matrix(g1: Matrix, g2: Matrix, m: int) -> Matrix:
-    """Block layout equivalent to merge_codewords on the encoded streams."""
+    """The merged block generator: encoding with it is the overlap-add of
+    the two constituent codewords on m positions (module docstring)."""
     if g1.field != g2.field:
         raise ValueError("constituent codes must share one field")
     if not 0 <= m <= min(g1.cols, g2.cols):
@@ -228,46 +216,4 @@ def build_mux_code(params: MuxParams, seed: int = 0) -> MuxCode:
         f"mux-code search exhausted {MAX_ATTEMPTS} tries for "
         f"(T_v={params.T_v}, T_u={params.T_u}, B={params.B}, N={params.N}); "
         f"last failure: {last_failure}"
-    )
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    allowed: bool
-    rule: str
-    reason: str
-
-
-def check_merge_bounds(
-    T_v: int, T_v_prime: int, T_u_prime: int, m: int, B: int, N: int
-) -> BoundCheck:
-    """Feasibility of a merge length against the deadline budget.
-
-    Merge lengths in [1, N-1] must keep T_v' + T_u' - N + m <= T_v; in
-    [N, B] the budget is T_v' + T_u' <= T_v when B >= 2N-1, otherwise
-    T_v' + B - N + k_u <= T_v with k_u = T_u' - N + 1.  m > B always
-    fails: removing the worst burst would leave fewer columns than
-    message symbols.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
-    if m > B:
-        return BoundCheck(False, "merge-length", f"m={m} > B={B}")
-    if m <= N - 1:
-        lhs = T_v_prime + T_u_prime - N + m
-        rule = "short-merge"
-        ok = lhs <= T_v
-        reason = f"T_v'+T_u'-N+m = {lhs} {'<=' if ok else '>'} T_v = {T_v}"
-        return BoundCheck(ok, rule, reason)
-    if B >= 2 * N - 1:
-        lhs = T_v_prime + T_u_prime
-        ok = lhs <= T_v
-        return BoundCheck(
-            ok, "burst-dominant", f"T_v'+T_u' = {lhs} {'<=' if ok else '>'} T_v = {T_v}"
-        )
-    k_u = T_u_prime - N + 1
-    lhs = T_v_prime + B - N + k_u
-    ok = lhs <= T_v
-    return BoundCheck(
-        ok, "random-dominant", f"T_v'+B-N+k_u = {lhs} {'<=' if ok else '>'} T_v = {T_v}"
     )

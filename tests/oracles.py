@@ -9,9 +9,17 @@ linalg.ColumnSpan must match, is built from these pair oracles too, so
 a fault in FieldSpec's arithmetic cannot hide in it.  KERNEL_FIELDS are
 the fields the field arithmetic, the packed encoder and the inlined span
 are tested over.
+
+The paper's statements that the pipeline never evaluates live here too:
+the case analysis of short merges (m <= N-1; select_parameters always
+merges with m = B), the overlap-add that merged encoding must equal, and
+the closed-form count of admissible patterns on a short horizon.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from muxfec.galois import FieldSpec, field_spec
 
@@ -292,3 +300,63 @@ def is_mds_laplace(rows, q, c1, c0):
         if det_laplace(sub, q, c1, c0) == (0, 0):
             return False
     return True
+
+
+# -- statements of the paper that the pipeline never evaluates ------------
+
+def merge_codewords(field, xv, xu, m):
+    """Overlap-add of two codewords of display codes on their middle m
+    positions, added longhand on (lo, hi) pairs."""
+    if not 0 <= m <= min(len(xv), len(xu)):
+        raise ValueError(f"merge length {m} out of range")
+    q, split = field.q, len(xv) - m
+    overlap = [pair_code(o_add(a, b, q), q)
+               for a, b in zip(code_pairs(xv[split:], q), code_pairs(xu[:m], q))]
+    return list(xv[:split]) + overlap + list(xu[m:])
+
+
+def case_m_small_bound(T_v, B, N):
+    """Sum-rate bound for merge lengths 1 <= m <= N-1: (T_v-2N+3)/(T_v-3N+4+2B),
+    strictly below the merged rate in both regimes.  Defined where the merged
+    rates are: B > N >= 1 and T_v >= 2B+2."""
+    if not (B > N >= 1 and T_v >= 2 * B + 2):
+        raise ValueError(f"need B > N >= 1 and T_v >= 2B+2, got T_v={T_v} B={B} N={N}")
+    return Fraction(T_v - 2 * N + 3, T_v - 3 * N + 4 + 2 * B)
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    allowed: bool
+    rule: str
+    reason: str
+
+
+def check_merge_bounds(T_v, T_v_prime, T_u_prime, m, B, N):
+    """Feasibility of a merge length against the deadline budget.
+
+    Merge lengths in [1, N-1] must keep T_v' + T_u' - N + m <= T_v; in
+    [N, B] the budget is T_v' + T_u' <= T_v when B >= 2N-1, otherwise
+    T_v' + B - N + k_u <= T_v with k_u = T_u' - N + 1.  m > B always
+    fails: removing the worst burst would leave fewer columns than
+    message symbols.
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    if m > B:
+        return BoundCheck(False, "merge-length", f"m={m} > B={B}")
+    if m <= N - 1:
+        lhs, rule, text = T_v_prime + T_u_prime - N + m, "short-merge", "T_v'+T_u'-N+m"
+    elif B >= 2 * N - 1:
+        lhs, rule, text = T_v_prime + T_u_prime, "burst-dominant", "T_v'+T_u'"
+    else:
+        lhs, rule, text = T_v_prime + B - N + T_u_prime - N + 1, "random-dominant", "T_v'+B-N+k_u"
+    ok = lhs <= T_v
+    return BoundCheck(ok, rule, f"{text} = {lhs} {'<=' if ok else '>'} T_v = {T_v}")
+
+
+def pattern_count_closed_form(horizon, W, B, N):
+    """Admissible-pattern count for W >= horizon: N-subsets plus longer bursts."""
+    if W < horizon:
+        raise ValueError(f"the closed form needs W >= horizon, got W={W} horizon={horizon}")
+    total = sum(comb(horizon, j) for j in range(N + 1))
+    return total + sum(max(0, horizon - blen + 1) for blen in range(N + 1, B + 1))

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from muxfec.analysis import (
-    case_m_small_bound,
     fmt_decimal,
     gain_table,
     mux_sum_rate,
@@ -18,19 +17,25 @@ from muxfec.analysis import (
     separate_sum_rate,
 )
 from muxfec.channel import ChannelModel, ErasurePattern, random_erasure_sequence
-from muxfec.decoder import earliest_decode_time, mux_deadlines, verify_matrix
+from muxfec.decoder import check_pattern, mux_deadlines, verify_matrix
 from muxfec.galois import field_spec
 from muxfec.linalg import is_mds
 from muxfec.muxcode import (
     assemble_merged_matrix,
     build_mux_code,
-    check_merge_bounds,
     select_parameters,
 )
 from muxfec.singlecode import BASE_SPECIAL, EXTENSION_SPECIAL, build_single_code
 from muxfec.stream import simulate_stream
 
-from oracles import codes_to_pairs, is_mds_bruteforce, is_mds_laplace, rank_bruteforce
+from oracles import (
+    case_m_small_bound,
+    check_merge_bounds,
+    codes_to_pairs,
+    is_mds_bruteforce,
+    is_mds_laplace,
+    rank_bruteforce,
+)
 
 SEED = 0
 
@@ -80,15 +85,14 @@ def test_criterion_3_random_dominant_regime():
 
 
 def test_criterion_4_decode_time_anchors(example_code):
-    g = example_code.G
-    u0 = example_code.params.k_v
-    t_burst = earliest_decode_time(g, ErasurePattern(14, (0, 1, 2, 3)), u0)
-    t_rand = earliest_decode_time(g, ErasurePattern(14, (0, 5)), u0)
-    assert t_burst == 11
-    assert t_rand == 11
-    for p in (ErasurePattern(14, (0, 1, 2, 3)), ErasurePattern(14, (0, 5))):
+    g, deadlines = example_code.G, example_code.symbol_deadlines()
+    burst = check_pattern(g, ErasurePattern(14, (0, 1, 2, 3)), deadlines)
+    rand = check_pattern(g, ErasurePattern(14, (0, 5)), deadlines)
+    assert burst.result_for("u", 0).decode_time == 11
+    assert rand.result_for("u", 0).decode_time == 11
+    for rep in (burst, rand):
         for i in range(example_code.params.k_v):
-            t = earliest_decode_time(g, p, i)
+            t = rep.result_for("v", i).decode_time
             assert t is not None and t <= i + 12
     report(4, "u[0] decodes at slot 11 under burst {0..3} and under {0,5}; v[i] by gen+12")
 
@@ -236,7 +240,7 @@ def test_criterion_10_oracle_suites(example_code):
             assert mul(a, b) == mul(b, a)
 
     # rank / is_mds vs brute-force minor oracles on >= 1000 random matrices
-    from muxfec.linalg import Matrix, is_mds as lib_is_mds, rank as lib_rank
+    from muxfec.linalg import ColumnSpan, Matrix, is_mds as lib_is_mds
 
     spec = field_spec(5)
     rng = random.Random(123)
@@ -244,7 +248,10 @@ def test_criterion_10_oracle_suites(example_code):
     for _ in range(1000):
         r, c = rng.randint(1, 4), rng.randint(1, 5)
         m = Matrix(r, c, spec, tuple(rng.randrange(spec.q) for _ in range(r * c)))
-        assert lib_rank(m) == rank_bruteforce(codes_to_pairs(m), spec.q, spec.c1, spec.c0)
+        span = ColumnSpan(spec, r)
+        for j in range(c):
+            span.add(m.col(j))
+        assert len(span.basis) == rank_bruteforce(codes_to_pairs(m), spec.q, spec.c1, spec.c0)
         n_rank += 1
     n_mds = 0
     for _ in range(200):

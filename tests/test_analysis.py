@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from muxfec.analysis import (
     capacity,
-    case_m_small_bound,
     fmt_decimal,
     gain_fraction,
     gain_table,
@@ -14,6 +13,8 @@ from muxfec.analysis import (
     round_half_up,
     separate_sum_rate,
 )
+
+from oracles import case_m_small_bound
 
 # the published gain table for B=9, N=3 (percent, 2 decimals)
 GAIN_TABLE_B9_N3 = {

@@ -10,16 +10,14 @@ from muxfec.channel import (
     apply_erasure,
     enumerate_admissible_patterns,
     is_admissible,
-    pattern_count_closed_form,
     random_erasure_sequence,
-    read_trace,
     write_trace,
     ERASURE_MARK,
     _extend,
     _tail_ok,
 )
 
-from oracles import admissible_bruteforce
+from oracles import admissible_bruteforce, pattern_count_closed_form
 
 
 def test_channel_model_validation():
@@ -129,7 +127,7 @@ def test_enumerate_closed_form_count():
     for horizon, B, N in [(6, 3, 1), (7, 4, 2), (8, 5, 3)]:
         ch = ChannelModel(horizon + 1, B, N)  # W >= horizon
         got = enumerate_admissible_patterns(horizon, ch)
-        assert len(got) == pattern_count_closed_form(horizon, ch)
+        assert len(got) == pattern_count_closed_form(horizon, ch.W, ch.B, ch.N)
 
 
 def test_prefix_closure():
@@ -219,15 +217,6 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.txt"
     write_trace(path, p)
     assert path.read_text() == "0\n1\n0\n0\n1\n0\n"
-    assert read_trace(path) == p
-
-
-@pytest.mark.parametrize("token", ["2", "-1", "x", "1.0"])
-def test_read_trace_rejects_other_tokens(tmp_path, token):
-    path = tmp_path / "trace.txt"
-    path.write_text(f"0\n1\n{token}\n0\n")
-    with pytest.raises(ValueError, match="must be 0 or 1"):
-        read_trace(path)
 
 
 def test_restrict_reindexes():

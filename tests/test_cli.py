@@ -202,17 +202,26 @@ def test_unwritable_output_path(capsys, spec_file, tmp_path, argv):
 
 
 @pytest.mark.parametrize("where", ["missing_parent", "directory"])
-def test_build_rejects_unusable_out_before_building(capsys, tmp_path, monkeypatch, where):
-    def no_build(*args, **kwargs):
-        raise AssertionError("build_mux_code ran before --out was checked")
-
-    monkeypatch.setattr(cli, "build_mux_code", no_build)
+def test_build_rejects_unusable_out_before_building(capsys, spec_file, tmp_path, monkeypatch,
+                                                    where):
+    """Every output path is checked before the command's work starts:
+    build --out, verify --report and simulate --trace."""
+    commands = [
+        ("build_mux_code", ["build", "--tv", "12", "--tu", "6", "--b", "4", "--n", "2",
+                            "--seed", "0", "--out"]),
+        ("verify_achievable", ["verify", str(spec_file), "--report"]),
+        ("random_erasure_sequence", ["simulate", str(spec_file), "--slots", "100", "--trace"]),
+    ]
     target = tmp_path / "missing" / "out.json" if where == "missing_parent" else tmp_path
-    rc, out, err = run_cli(capsys, "build", "--tv", "12", "--tu", "6", "--b", "4", "--n", "2",
-                           "--seed", "0", "--out", str(target))
-    assert rc == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "usage" and str(target) in payload["detail"]
+    for work, argv in commands:
+        def no_work(*args, work=work, **kwargs):
+            raise AssertionError(f"{work} ran before the output path was checked")
+
+        monkeypatch.setattr(cli, work, no_work)
+        rc, out, err = run_cli(capsys, *argv, str(target))
+        assert rc == 1 and out == "", argv[0]
+        payload = json.loads(err)
+        assert payload["error"] == "usage" and str(target) in payload["detail"]
 
 
 def test_deeply_nested_spec_is_malformed(capsys, tmp_path):

@@ -17,7 +17,6 @@ from muxfec.decoder import (
     block_deadlines,
     check_pattern,
     decode_message,
-    earliest_decode_time,
     miss_table,
     mux_deadlines,
     verify_achievable,
@@ -32,6 +31,11 @@ from oracles import codes_to_pairs, sequential_substitution, unit_in_span_brutef
 STREAM_SPEC = Path(__file__).resolve().parents[1] / "perfbench/specs/stream_20_10_6_2.json"
 
 
+def decode_time(g, p, j):
+    """Row j's earliest decode time under p, None if never, read through check_pattern."""
+    return check_pattern(g, p, [SymbolDeadline("s", j, j, 0, g.cols)]).symbols[0].decode_time
+
+
 @pytest.fixture(scope="module")
 def single_code():
     return build_single_code(6, 4, 2, seed=0)
@@ -39,32 +43,27 @@ def single_code():
 
 def test_no_erasures_first_symbol_at_zero(single_code):
     p = ErasurePattern(single_code.n)
-    assert earliest_decode_time(single_code.G, p, 0) == 0
+    assert decode_time(single_code.G, p, 0) == 0
 
 
 def test_no_erasures_sequential_times(single_code):
     # unit upper-triangular prefix: s[i] decodes exactly at slot i
     p = ErasurePattern(single_code.n)
     for i in range(single_code.k):
-        assert earliest_decode_time(single_code.G, p, i) == i
-
-
-def test_index_validation(single_code):
-    with pytest.raises(ValueError):
-        earliest_decode_time(single_code.G, ErasurePattern(single_code.n), 99)
+        assert decode_time(single_code.G, p, i) == i
 
 
 def test_example_urgent_anchor_burst(example_code):
     """u[0] becomes decodable exactly at slot 11 after the opening burst."""
     g = example_code.G
     u0 = example_code.params.k_v
-    assert earliest_decode_time(g, ErasurePattern(14, (0, 1, 2, 3)), u0) == 11
+    assert decode_time(g, ErasurePattern(14, (0, 1, 2, 3)), u0) == 11
 
 
 def test_example_urgent_anchor_random(example_code):
     g = example_code.G
     u0 = example_code.params.k_v
-    assert earliest_decode_time(g, ErasurePattern(14, (0, 5)), u0) == 11
+    assert decode_time(g, ErasurePattern(14, (0, 5)), u0) == 11
 
 
 def test_example_burst_chain_times(example_code):
@@ -72,10 +71,10 @@ def test_example_burst_chain_times(example_code):
     g = example_code.G
     p = ErasurePattern(14, (0, 1, 2, 3))
     k_v = example_code.params.k_v
-    t_u0 = earliest_decode_time(g, p, k_v)
-    t_u1 = earliest_decode_time(g, p, k_v + 1)
-    t_v3 = earliest_decode_time(g, p, 3)
-    t_v4 = earliest_decode_time(g, p, 4)
+    t_u0 = decode_time(g, p, k_v)
+    t_u1 = decode_time(g, p, k_v + 1)
+    t_v3 = decode_time(g, p, 3)
+    t_v4 = decode_time(g, p, 4)
     assert t_u1 is not None and t_u1 <= 12
     assert t_v3 <= 12 and t_v4 <= 12
     assert t_v3 <= t_u0 and t_v4 <= t_u0
@@ -85,7 +84,7 @@ def test_every_v_symbol_within_gen_plus_tv(example_code):
     g = example_code.G
     p = ErasurePattern(14, (0, 1, 2, 3))
     for i in range(example_code.params.k_v):
-        t = earliest_decode_time(g, p, i)
+        t = decode_time(g, p, i)
         assert t is not None and t <= i + 12
 
 
@@ -150,7 +149,7 @@ def test_single_pattern_decoders_reject_a_pattern_that_does_not_fit_the_codeword
     word = code.encode([0] * code.params.k_v, [0] * code.params.k_u)
     for p in (ErasurePattern(100, (50, 51)), ErasurePattern(100), ErasurePattern(23, (0,))):
         received = [ERASURE_MARK if t in p else y for t, y in enumerate(word)]
-        for decode in (lambda: earliest_decode_time(g, p, 0), lambda: check_pattern(g, p, deadlines),
+        for decode in (lambda: check_pattern(g, p, deadlines),
                        lambda: decode_message(g, received, p, deadlines)):
             with pytest.raises(ValueError, match=f"horizon {p.horizon} != codeword length 24"):
                 decode()
@@ -190,8 +189,8 @@ def test_decode_monotonic_in_erasures(example_code):
         drop = rng.randrange(len(erased))
         smaller = ErasurePattern(14, erased[:drop] + erased[drop + 1 :])
         for row in range(g.rows):
-            t_full = earliest_decode_time(g, p, row)
-            t_less = earliest_decode_time(g, smaller, row)
+            t_full = decode_time(g, p, row)
+            t_less = decode_time(g, smaller, row)
             if t_full is not None:
                 assert t_less is not None and t_less <= t_full
 
@@ -199,7 +198,7 @@ def test_decode_monotonic_in_erasures(example_code):
 def test_erasure_free_u_decode_time_is_h(example_code):
     p = ErasurePattern(14)
     h = example_code.params.h
-    assert earliest_decode_time(example_code.G, p, example_code.params.k_v) == h
+    assert decode_time(example_code.G, p, example_code.params.k_v) == h
 
 
 def test_never_decodable_recorded_without_abort(single_code):
@@ -256,7 +255,7 @@ def test_decoder_times_never_beat_span_rank():
         erased = tuple(sorted(rng.sample(range(code.n), rng.randint(0, 4))))
         p = ErasurePattern(code.n, erased)
         for j in range(code.k):
-            t = earliest_decode_time(code.G, p, j)
+            t = decode_time(code.G, p, j)
             if t is None:
                 assert not in_span([c for c in range(code.n) if c not in p], j)
             else:

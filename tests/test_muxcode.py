@@ -15,11 +15,11 @@ from muxfec.muxcode import (
     RANDOM_DOMINANT,
     assemble_merged_matrix,
     build_mux_code,
-    check_merge_bounds,
-    merge_codewords,
     select_parameters,
 )
 from muxfec.singlecode import BASE_SPECIAL, EXTENSION_SPECIAL, build_single_code
+
+from oracles import check_merge_bounds, merge_codewords
 
 STREAM_SPEC = Path(__file__).resolve().parents[1] / "perfbench/specs/stream_20_10_6_2.json"
 

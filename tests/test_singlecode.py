@@ -7,7 +7,7 @@ import pytest
 
 from muxfec.channel import ChannelModel
 from muxfec.decoder import verify_achievable
-from muxfec.galois import field_spec
+from muxfec.galois import FieldSpec, field_spec
 from muxfec.linalg import Matrix, is_mds
 from muxfec.singlecode import (
     BASE_SPECIAL,
@@ -173,7 +173,9 @@ def test_random_dominant_single_builds():
 
 
 def test_spec_dict_round_trips_matrix(code_956):
-    assert Matrix.from_dump(code_956.G.to_dump()) == code_956.G
+    d = code_956.G.to_dump()
+    field = FieldSpec(d["q"], *d["ext_poly"])
+    assert Matrix(d["rows"], d["cols"], field, tuple(d["entries"])) == code_956.G
     rebuilt = build_single_code(
         code_956.T, code_956.B, code_956.N, code_956.variant,
         seed=code_956.seed, q=code_956.field.q,
