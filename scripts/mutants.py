@@ -179,18 +179,37 @@ MUTANTS = (
         (f"{LINALG}test_is_mds_matches_rank_definition",
          f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
     ),
+    Mutant(
+        "is_mds leaf test ignores the x coordinate", "linalg.py",
+        "            if not (lo % q or hi % q):",
+        "            if not lo % q:",
+        (f"{LINALG}test_is_mds_both_sides_match_bruteforce",),
+    ),
+    Mutant(
+        "is_mds subset range stops one column early", "linalg.py",
+        "for c in range(start, n - dim + depth + 1):",
+        "for c in range(start, n - dim + depth):",
+        (f"{LINALG}test_is_mds_reaches_the_last_selection", f"{LINALG}test_is_mds_shares_each_prefix",
+         f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
+    ),
+    Mutant(
+        "is_mds siblings share one span", "linalg.py",
+        "                child = span.copy()",
+        "                child = span",
+        (f"{LINALG}test_is_mds_shares_each_prefix", f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
+    ),
     # -- the window rule ------------------------------------------------------------
     Mutant(
         "new-erasure window rule starts one window late", "channel.py",
-        "erased[bisect_left(erased, first_new - ch.W + 1) :]",
-        "erased[bisect_left(erased, first_new + 1) :]",
+        "bisect_left(erased, first_new - ch.W + 1)",
+        "bisect_left(erased, first_new + 1)",
         (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
          f"{CHANNEL}test_enumerate_matches_subset_filter"),
     ),
     Mutant(
         "new-erasure window rule starts one slot late", "channel.py",
-        "erased[bisect_left(erased, first_new - ch.W + 1) :]",
-        "erased[bisect_left(erased, first_new - ch.W + 2) :]",
+        "bisect_left(erased, first_new - ch.W + 1)",
+        "bisect_left(erased, first_new - ch.W + 2)",
         (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
          f"{CHANNEL}test_enumerate_matches_subset_filter"),
     ),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ERASURE_MARK = "*"
 
@@ -65,11 +65,12 @@ class ErasurePattern:
         return ErasurePattern(length, tuple(t - start for t in self.erased[lo:hi]))
 
 
-def _windows_ok(erased: Sequence[int], starts: Iterable[int], ch: ChannelModel) -> bool:
-    """Window rule for the windows [i, i+W) with i in starts; erased sorted."""
-    for i in starts:
-        lo = bisect_left(erased, i)
-        hi = bisect_right(erased, i + ch.W - 1)
+def _windows_ok(erased: Sequence[int], first: int, ch: ChannelModel) -> bool:
+    """Window rule for the windows [erased[lo], erased[lo]+W) with lo >= first;
+    erased sorted and distinct, so a window starting at erased[lo] holds
+    the erasures lo..hi-1."""
+    for lo in range(first, len(erased)):
+        hi = bisect_right(erased, erased[lo] + ch.W - 1, lo)
         cnt = hi - lo
         if cnt <= ch.N:
             continue
@@ -89,7 +90,7 @@ def _tail_ok(erased: Sequence[int], first_new: int, ch: ChannelModel) -> bool:
     ones starting at an erasure >= first_new - W + 1 need checking (see
     is_admissible).
     """
-    return _windows_ok(erased, erased[bisect_left(erased, first_new - ch.W + 1) :], ch)
+    return _windows_ok(erased, bisect_left(erased, first_new - ch.W + 1), ch)
 
 
 def _extend(erased: list[int], extra: Sequence[int], ch: ChannelModel) -> bool:
@@ -115,7 +116,7 @@ def is_admissible(p: ErasurePattern, ch: ChannelModel) -> bool:
     old ones, so a gap between the old ones cannot close.  So [e, e+W)
     breaks the rule too.
     """
-    return _windows_ok(p.erased, p.erased, ch)
+    return _windows_ok(p.erased, 0, ch)
 
 
 def enumerate_admissible_patterns(horizon: int, ch: ChannelModel) -> list[ErasurePattern]:

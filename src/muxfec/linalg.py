@@ -19,12 +19,14 @@ and value recovery all rest on it.  is_mds checks the side with fewer
 rows: a k x n code is MDS exactly when its dual is, so a tall matrix
 (2k > n) is brought to systematic form [I | A] by the span's own
 reduction, ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows,
-is checked.
+is checked.  On that side it walks the tree of column selections depth
+first, one span per shared prefix, and tests each full selection by
+the one coordinate of its last column's residue that the span has no
+pivot at.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -135,11 +137,23 @@ def is_mds(g: Matrix) -> bool:
     A k x n code is MDS exactly when its dual is, so the check runs on the
     side with fewer rows: G itself when 2k <= n, else the dual generator
     [-A^T | I] of G's systematic form [I | A] (see _dual_columns).  G is
-    not MDS when its first k columns are dependent.  On the side chosen,
-    a selection of columns is rejected at its first column that does not
-    enlarge the span of the ones before it.  A 0-row matrix is vacuously
-    MDS (degenerate sub-blocks of short codes), and so is a k x k one
-    with independent columns, whose dual has 0 rows.
+    not MDS when its first k columns are dependent.  A 0-row matrix is
+    vacuously MDS (degenerate sub-blocks of short codes), and so is a k x k
+    one with independent columns, whose dual has 0 rows.
+
+    On the side chosen, of dim rows, the selections are the leaves of a
+    tree walked depth first, children in increasing column order.  A node
+    holds the span of its prefix, and a child is a copy of it with one
+    more column added, so a prefix is reduced once for every selection
+    that shares it.  A dependent prefix decides: every selection that
+    extends it is dependent, so the walk ends at once with False.  At the
+    last level the span has rank dim - 1 and so exactly one coordinate z
+    that is not a pivot.  The basis is fully reduced, so a column c less
+    its part along the span, sum_p c[p]*b_p over the pivots p, is zero at
+    every pivot and c[z] - sum_p b_p[z]*c[p] at z: c lies in the span iff
+    that one coordinate is zero, its 1 and x parts both.  Each leaf
+    computes only it, with FieldSpec.mul_map of the b_p[z] taken once per
+    node.
     """
     if g.rows > g.cols:
         raise ValueError("is_mds requires rows <= cols")
@@ -148,11 +162,32 @@ def is_mds(g: Matrix) -> bool:
         dim, cols = g.cols - dim, _dual_columns(g.field, dim, cols)
         if cols is None:
             return False
-    for sel in itertools.combinations(cols, dim):
-        span = ColumnSpan(g.field, dim)
-        if not all(span.add(c) for c in sel):
-            return False
-    return True
+    if not dim:
+        return True
+    f, n = g.field, len(cols)
+    q = f.q
+
+    def walk(span: ColumnSpan, start: int) -> bool:
+        depth = len(span.basis)
+        if depth < dim - 1:
+            for c in range(start, n - dim + depth + 1):
+                child = span.copy()
+                if not child.add(cols[c]) or not walk(child, c + 1):
+                    return False
+            return True
+        z = next(i for i in range(dim) if i not in span.basis)
+        maps = [(p, f.mul_map(b[z])) for p, b in span.basis.items() if b[z]]
+        for col in cols[start:]:
+            lo, hi = col[z] % q, col[z] // q
+            for p, (m00, m01, m10, m11) in maps:
+                a0, a1 = col[p] % q, col[p] // q
+                lo -= m00 * a0 + m01 * a1
+                hi -= m10 * a0 + m11 * a1
+            if not (lo % q or hi % q):
+                return False
+        return True
+
+    return walk(ColumnSpan(f, dim), 0)
 
 
 def _dual_columns(f: FieldSpec, k: int, cols: list[list[int]]) -> Optional[list[list[int]]]:
@@ -220,9 +255,9 @@ class ColumnSpan:
     so that a row operation between base columns is one (x - c*y) % q per
     entry (98% of the build's); a column that met an extension element
     stays False.  The other paths' calls per seed-0 benchmark round, with
-    the scalar in GF(q) / not: _minus_times build 1,782/404, stream
-    31,436/88; _times build 254/233, stream 5,445/56; FieldSpec.inv build
-    30,941/233, stream 7,357/56.  Every branch is taken, so each stays.
+    the scalar in GF(q) / not: _minus_times build 1,699/299, stream
+    31,436/88; _times build 232/150, stream 5,445/56; FieldSpec.inv build
+    17,164/150, stream 7,357/56.  Every branch is taken, so each stays.
 
     add returns the pivots whose basis columns it set: the new pivot, then
     each pivot rebound in back-substitution.  Only these can have newly
@@ -290,6 +325,9 @@ class ColumnSpan:
         return changed
 
     def contains_unit(self, j: int) -> bool:
-        """True iff e_j lies in the span."""
+        """True iff e_j lies in the span: j is a pivot whose basis column
+        has a 0 at every other coordinate of the head.  That column keeps
+        its 1 at j (back-substitution subtracts multiples of columns that
+        are 0 at every earlier pivot), so one count of zeros decides."""
         b = self.basis.get(j)
-        return b is not None and not any(b[:j]) and not any(b[j + 1 : self.dim])
+        return b is not None and b[: self.dim].count(0) == self.dim - 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from muxfec import codespec, linalg
 from muxfec.decoder import _add_column
 from muxfec.galois import FieldSpec, field_spec
 from muxfec.linalg import ColumnSpan, Matrix, is_mds
+from muxfec.singlecode import BASE_SPECIAL, EXTENSION_SPECIAL, BlockCode, _draw_matrix
 
 from oracles import (
     KERNEL_FIELDS,
@@ -168,9 +170,10 @@ def mds_case(rng, spec, k, n, kind):
     """A k x n matrix over all of GF(q^2): "random" (30% zeros), "dense" (no
     zeros), "base" (no zeros, every entry in GF(q), so that a tall block's
     dual takes the base-field path of the reduction), "vandermonde" (rows
-    x^i at distinct nodes, MDS when n <= q^2) or "lead" (first k columns
+    x^i at distinct nodes, MDS when n <= q^2), "lead" (first k columns
     dependent: column k-1 is a combination of the ones before it, the zero
-    column when k = 1)."""
+    column when k = 1) or "pair" (dense, with column 1 a multiple of
+    column 0: on a wide block the walk's first prefix is dependent)."""
     q, c1, c0 = spec.q, spec.c1, spec.c0
     if kind == "vandermonde":
         nodes = rng.sample(range(spec.order), n)
@@ -179,9 +182,13 @@ def mds_case(rng, spec, k, n, kind):
             rows.append([spec.code(*e) for e in power])
             power = [o_mul(e, (x % q, x // q), q, c1, c0) for e, x in zip(power, nodes)]
     else:
-        top = {"dense": spec.order, "base": q}.get(kind)
+        top = {"dense": spec.order, "pair": spec.order, "base": q}.get(kind)
         rows = [[rng.randrange(1, top) if top else random_entry(rng, spec) for _ in range(n)]
                 for _ in range(k)]
+    if kind == "pair":
+        a = (rng.randrange(1, q), rng.randrange(q))
+        for row in rows:
+            row[1] = spec.code(*o_mul(a, (row[0] % q, row[0] // q), q, c1, c0))
     if kind == "lead":
         coef = [(rng.randrange(q), rng.randrange(q)) for _ in range(k - 1)]
         for row in rows:
@@ -197,6 +204,7 @@ MDS_SHAPES = [
     (1, 1), (2, 2), (3, 3),  # k = n: MDS iff invertible, a dual with 0 rows
     (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6),  # tall, 2k > n: the dual side
     (1, 3), (2, 4), (2, 5), (3, 6),  # wide, 2k <= n: G itself
+    (3, 7), (4, 8), (5, 9), (4, 7),  # three or more levels of the subset tree
 ]
 
 
@@ -217,11 +225,11 @@ def test_is_mds_both_sides_match_bruteforce(spec, monkeypatch):
     q, c1, c0 = spec.q, spec.c1, spec.c0
     verdicts = set()
     for k, n in MDS_SHAPES:
-        kinds = ["random", "dense", "dense", "base", "base", "lead", "lead"]
+        kinds = ["random", "dense", "dense", "base", "base", "lead", "lead", "pair"]
         if n <= spec.order:
             kinds += ["vandermonde", "vandermonde"]
         for kind in kinds * 2:
-            if kind == "lead" and k == 0:
+            if kind == "lead" and k == 0 or kind == "pair" and k < 2:
                 continue
             m = mds_case(rng, spec, k, n, kind)
             pairs = codes_to_pairs(m)
@@ -234,12 +242,81 @@ def test_is_mds_both_sides_match_bruteforce(spec, monkeypatch):
             got = is_mds(m)
             assert got == want == by_rank, (k, n, kind, m.data)
             assert set(dims) <= {min(k, n - k)}
-            if kind == "lead":
+            if kind in ("lead", "pair"):
                 assert got is False
             if kind == "vandermonde":
                 assert got is True
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("T,B,N", [(6, 4, 3), (7, 4, 3)])
+def test_is_mds_on_template_blocks_matches_bruteforce(T, B, N):
+    """The blocks builds certify, g1_sub and g2_sub of template draws at
+    the fields the search starts from: (4,6) and (2,6) at (6,4,3), (5,7)
+    and (3,7) at (7,4,3), with a base-field or an extension special entry."""
+    rng = random.Random(T * 100 + B * 10 + N)
+    verdicts = set()
+    for q in (7, 11, 13):
+        spec = field_spec(q)
+        for variant in (BASE_SPECIAL, EXTENSION_SPECIAL):
+            for _ in range(12):
+                code = BlockCode(T, B, N, _draw_matrix(spec, T, B, N, variant, rng), 0, variant)
+                for block in (code.g1_sub(), code.g2_sub()):
+                    want = is_mds_bruteforce(codes_to_pairs(block), q, spec.c1, spec.c0)
+                    assert is_mds(block) == want, (T, B, N, q, block.data)
+                    verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def dependent_selections(m):
+    """The column selections of m whose maximal minor is zero, in order."""
+    pairs, f = codes_to_pairs(m), m.field
+    return [sel for sel in itertools.combinations(range(m.cols), m.rows)
+            if det_bruteforce([[row[j] for j in sel] for row in pairs], f.q, f.c1, f.c0) == (0, 0)]
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8)])
+def test_is_mds_reaches_the_last_selection(k, n):
+    """A wide matrix whose only dependent selection is the lexicographically
+    last one: the walk must reach the last prefix and its last leaf."""
+    spec = GF11
+    rng = random.Random(k * 31 + n)
+    for _ in range(50):  # redraw until no other selection is dependent by chance
+        m = mds_case(rng, spec, k, n, "dense")
+        rows = codes_to_pairs(m)
+        coef = [(rng.randrange(1, spec.q), rng.randrange(spec.q)) for _ in range(k - 1)]
+        for row in rows:  # the last column: a combination of the k - 1 before it
+            acc = (0, 0)
+            for a, e in zip(coef, row[n - k : n - 1]):
+                acc = o_add(acc, o_mul(a, e, spec.q, spec.c1, spec.c0), spec.q)
+            row[n - 1] = acc
+        m = Matrix.from_rows(spec, [[spec.code(*e) for e in row] for row in rows])
+        if dependent_selections(m) == [tuple(range(n - k, n))]:
+            break
+    else:
+        pytest.fail("no draw had the last selection as its only dependent one")
+    assert is_mds(m) is False
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 6), (3, 7), (4, 8), (4, 9), (5, 10)])
+def test_is_mds_shares_each_prefix(k, n, monkeypatch):
+    """On an MDS wide k x n block the walk adds each prefix's last column
+    once: a prefix of length l ends at or before column n-k+l-1, so there
+    are C(n-k+l, l) of them, l = 1..k-1; a leaf adds nothing.  One span
+    per selection would add k*C(n,k) columns."""
+    adds = []
+
+    class CountedSpan(ColumnSpan):
+        def add(self, col):
+            adds.append(len(self.basis))
+            return super().add(col)
+
+    monkeypatch.setattr(linalg, "ColumnSpan", CountedSpan)
+    m = mds_case(random.Random(k * n), GF11, k, n, "vandermonde")
+    assert is_mds(m) is True
+    assert len(adds) == sum(math.comb(n - k + l, l) for l in range(1, k))
+    assert set(adds) <= set(range(k - 1))  # never into a span of rank k - 1: no leaf adds
 
 
 def test_rank_with_extension_entries():
