@@ -99,30 +99,57 @@ MUTANTS = (
         "            if not isinstance(sym, int):",
         (f"{STREAM}test_push_rejects_non_int_symbols",),
     ),
-    # -- the ColumnSpan elimination ----------------------------------------------
+    # -- the packed ColumnSpan elimination ---------------------------------------
     Mutant(
-        "_minus_times GF(q) path drops the x coordinate", "linalg.py",
-        "        return [(a // q - c * (b // q)) % q * q + (a - c * b) % q for a, b in zip(x, y)]",
-        "        return [(a // q) % q * q + (a - c * b) % q for a, b in zip(x, y)]",
-        (f"{LINALG}test_column_span_matches_reference", f"{LINALG}test_column_span_tracks_rank"),
+        "lane quotient multiplier rounded down", "linalg.py",
+        "    M = -(-(1 << s) // q)",
+        "    M = (1 << s) // q",
+        (f"{LINALG}test_lane_reduction_is_exact_at_its_bounds",
+         f"{LINALG}test_column_span_matches_reference"),
     ),
     Mutant(
-        "_times with swapped map entries", "linalg.py",
-        "    return [(m10 * b + m11 * (b // q)) % q * q + (m00 * b + m01 * (b // q)) % q for b in y]",
-        "    return [(m01 * b + m11 * (b // q)) % q * q + (m00 * b + m10 * (b // q)) % q for b in y]",
-        (f"{LINALG}test_column_span_matches_reference", f"{LINALG}test_column_span_tracks_rank"),
+        "lane one bit narrower", "linalg.py",
+        "    L = (((1 << a) - 1) * M).bit_length()",
+        "    L = (((1 << a) - 1) * M).bit_length() - 1",
+        (f"{LINALG}test_lane_reduction_is_exact_at_its_bounds",),
     ),
     Mutant(
-        "_reduce never clears its GF(q) flag", "linalg.py",
-        "                    r_base = False\n                    r = _minus_times(r, c, b, f)",
-        "                    r = _minus_times(r, c, b, f)",
-        (f"{LINALG}test_column_span_matches_reference",
-         f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
+        "lane offset one q short", "linalg.py",
+        "    offset = q * -(-2 * dim * (q - 1) ** 2 // q)",
+        "    offset = q * -(-2 * dim * (q - 1) ** 2 // q) - q",
+        (f"{LINALG}test_lane_reduction_is_exact_at_its_bounds",
+         f"{LINALG}test_column_span_matches_reference"),
     ),
     Mutant(
-        "copy shares the GF(q) flags", "linalg.py",
-        "        other._base = dict(self._base)",
-        "        other._base = self._base",
+        "pivot taken from the highest nonzero lane", "linalg.py",
+        "        p = ((h & -h).bit_length() - 1) // L",
+        "        p = (h.bit_length() - 1) // L",
+        (f"{LINALG}test_column_span_matches_reference",),
+    ),
+    Mutant(
+        "contains_unit ignores the x coordinate", "linalg.py",
+        " == 1 << j * lanes.width and not b[1] & lanes.head",
+        " == 1 << j * lanes.width",
+        (f"{LINALG}test_column_span_tracks_rank",
+         f"{LINALG}test_add_column_stamps_what_a_full_scan_finds"),
+    ),
+    Mutant(
+        "copy shares the basis dict", "linalg.py",
+        "        other.basis = dict(self.basis)",
+        "        other.basis = self.basis",
+        (f"{LINALG}test_column_span_tracks_rank", f"{LINALG}test_column_span_matches_reference",
+         f"{DECODER}test_verifier_matches_bruteforce"),
+    ),
+    Mutant(
+        "_reduce GF(q) coefficient drops the x coordinate", "linalg.py",
+        "                    if b1:\n                        s1 += c * b1\n",
+        "",
+        (f"{LINALG}test_column_span_matches_reference",),
+    ),
+    Mutant(
+        "GF(q) back-substitution drops the x coordinate", "linalg.py",
+        "                x1 = b1 - c * r1 if r1 else b1\n",
+        "                x1 = b1\n",
         (f"{LINALG}test_column_span_matches_reference",),
     ),
     Mutant(
@@ -135,21 +162,15 @@ MUTANTS = (
     ),
     Mutant(
         "add does not record rebound pivots", "linalg.py",
-        "                changed.append(s)\n",
+        "            changed.append(t)\n",
         "",
         (f"{LINALG}test_column_span_matches_reference",
          f"{LINALG}test_add_column_stamps_what_a_full_scan_finds"),
     ),
     Mutant(
-        "add rewrites a basis column in place", "linalg.py",
-        "                    basis[s] = [(x - c * y) % q for x, y in zip(b, r)]",
-        "                    b[:] = [(x - c * y) % q for x, y in zip(b, r)]",
-        (f"{LINALG}test_column_span_matches_reference", f"{DECODER}test_verifier_matches_bruteforce"),
-    ),
-    Mutant(
         "add skips back-substitution", "linalg.py",
-        "        for s, b in basis.items():\n            c = b[p]",
-        "        for s, b in ():\n            c = b[p]",
+        "        for t, (b0, b1) in basis.items():",
+        "        for t, (b0, b1) in ():",
         (f"{LINALG}test_column_span_tracks_rank", f"{LINALG}test_column_span_matches_reference"),
     ),
     # -- is_mds on the side with fewer rows --------------------------------------
@@ -174,8 +195,8 @@ MUTANTS = (
     ),
     Mutant(
         "_dual_columns reads the head instead of the tail", "linalg.py",
-        "rows = [span._reduce(c + [0] * k)[0][k:] + ",
-        "rows = [span._reduce(c + [0] * k)[0][:k] + ",
+        "rows = [span.codes(span._reduce(span.pack(c)))[k:] + ",
+        "rows = [span.codes(span._reduce(span.pack(c)))[:k] + ",
         (f"{LINALG}test_is_mds_matches_rank_definition",
          f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
     ),
@@ -198,7 +219,13 @@ MUTANTS = (
         "                child = span",
         (f"{LINALG}test_is_mds_shares_each_prefix", f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
     ),
-    # -- the window rule ------------------------------------------------------------
+    # -- erasure patterns and the window rule -------------------------------------
+    Mutant(
+        "ErasurePattern accepts slots that are not ints", "channel.py",
+        "        bad = next((t for t in self.erased if type(t) is not int), None)",
+        "        bad = None",
+        (f"{CHANNEL}test_erasure_pattern_rejects_slots_that_are_not_ints",),
+    ),
     Mutant(
         "new-erasure window rule starts one window late", "channel.py",
         "bisect_left(erased, first_new - ch.W + 1)",
@@ -216,8 +243,8 @@ MUTANTS = (
     # -- the decode sweep and the verifier's walk ---------------------------------
     Mutant(
         "_decode_times stamps one slot late", "decoder.py",
-        "_add_column(span, col if received is None else col + [received[t]], t, times)",
-        "_add_column(span, col if received is None else col + [received[t]], t + 1, times)",
+        "_add_column(span, span.pack(col), t, times)",
+        "_add_column(span, span.pack(col), t + 1, times)",
         (f"{DECODER}test_no_erasures_sequential_times", f"{DECODER}test_example_urgent_anchor_burst",
          f"{DECODER}test_decoder_times_never_beat_span_rank",
          f"{ACCEPTANCE}test_criterion_4_decode_time_anchors"),

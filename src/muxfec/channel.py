@@ -40,8 +40,14 @@ class ErasurePattern:
     erased: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        # exactly int: a float slot would match no slot, a bool passes isinstance
+        if type(self.horizon) is not int:
+            raise ValueError(f"horizon is not an int: {self.horizon!r}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        bad = next((t for t in self.erased if type(t) is not int), None)
+        if bad is not None:
+            raise ValueError(f"erased slot is not an int: {bad!r}")
         ordered = tuple(sorted(set(self.erased)))
         if ordered != self.erased:
             object.__setattr__(self, "erased", ordered)

@@ -6,9 +6,11 @@ the generator restricted to S.  One sweep over time per erasure pattern,
 growing a ColumnSpan of the received columns, gives every symbol's
 earliest decode time; check_pattern and decode_message both read it.
 The decode times are a dict from row to slot that holds only the rows
-decoded so far, so its size says when every row has decoded.
-decode_message extends each column by its received symbol, so the sweep
-also yields the decoded values.
+decoded so far, so its size says when every row has decoded.  Each
+caller packs its columns once for the span (ColumnSpan.pack).
+decode_message packs each column with its received symbol as one more
+lane, so the sweep also yields the decoded values: a decoded row's value
+is that lane of its basis column.
 
 One depth-first walk of an erasure-pattern tree (_walk) decodes as it
 goes, so a pattern shares the sweep of its parent up to its last erasure.
@@ -140,19 +142,19 @@ def _decode_times(
     """
     if p.horizon != g.cols:
         raise ValueError(f"pattern horizon {p.horizon} != codeword length {g.cols}")
-    span = ColumnSpan(g.field, g.rows)
+    span = ColumnSpan(g.field, g.rows, g.rows + (received is not None))
     times: dict[int, int] = {}
     for t in range(g.cols):
         if t not in p:
-            col = g.col(t)
-            _add_column(span, col if received is None else col + [received[t]], t, times)
+            col = g.col(t) if received is None else g.col(t) + [received[t]]
+            _add_column(span, span.pack(col), t, times)
         if len(times) == g.rows:
             break
     return times, span
 
 
-def _add_column(span: ColumnSpan, col: list[int], t: int, times: dict[int, int]) -> None:
-    """The sweep step: add the column of slot t, stamp the rows it decodes.
+def _add_column(span: ColumnSpan, col: tuple[int, int], t: int, times: dict[int, int]) -> None:
+    """The sweep step: add the packed column of slot t, stamp the rows it decodes.
 
     Only the basis columns the add set can have newly become unit vectors,
     so only the undecoded rows among the pivots it returns are checked.
@@ -211,7 +213,7 @@ def decode_message(
         if not erased and not (type(y) is int and 0 <= y < order):
             raise ValueError(f"received symbol at slot {t} is not a display code: {y!r}")
     times, span = _decode_times(g, p, received)
-    return _report(times, symbols, {j: col[g.rows] for j, col in span.basis.items()})
+    return _report(times, symbols, {j: span.codes(b)[g.rows] for j, b in span.basis.items()})
 
 
 def _walk(
@@ -232,7 +234,8 @@ def _walk(
     return of visit stops the walk and is returned; otherwise None is.
     """
     n, k = g.cols, g.rows
-    cols = [g.col(t) for t in range(n)]
+    root = ColumnSpan(g.field, k)
+    cols = [root.pack(g.col(t)) for t in range(n)]
     erased: list[int] = []  # the current node's pattern, extended and popped in place
 
     def walk(span: ColumnSpan, times: dict[int, int], start: int):
@@ -246,7 +249,7 @@ def _walk(
                 _add_column(span, cols[t], t, times)
         return visit(erased, times)
 
-    return walk(ColumnSpan(g.field, k), {}, 0)
+    return walk(root, {}, 0)
 
 
 def verify_matrix(

@@ -6,9 +6,8 @@ elements with hi = 0.  An element is held as its integer display code
 hi*q + lo (also the matrix dump format).  FieldSpec.add, sub and mul are
 the single-element API; mul applies FieldSpec.mul_map, the one statement
 of the product rule.  The two hot kernels of linalg call none of them per
-entry: they work on (lo, hi) coordinates through mul_map.  The encoding
-kernel packs that map into big ints and reduces each output symbol once,
-and ColumnSpan inlines it in its row operations.
+entry: they multiply lane-packed (lo, hi) coordinates by the entries of
+mul_map.
 """
 
 from __future__ import annotations

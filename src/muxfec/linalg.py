@@ -7,29 +7,31 @@ of each symbol in fixed-width bit fields, and a symbol a0 + a1*q adds
 a0*P0 + a1*P1 of its row, two big-int multiplies with no loop over the
 entries.  vec_mul and the stream encoder both accumulate with it and
 reduce each output symbol once, with Matrix.lane_codes.  The one
-elimination is ColumnSpan.  Its row operations are inlined list
-comprehensions, one (x - c*y) % q per entry when the scalar and both
-columns lie in GF(q), and through the scalar's FieldSpec.mul_map
-otherwise; no field method is called per entry.  It grows a fully
-reduced column basis with first-nonzero pivoting: deterministic, and
-with no stability considerations in an exact field.  Each add returns
-the pivots whose basis columns it set, the only ones that can have newly
-become unit vectors.  is_mds and the decoder's unit-vector membership
-and value recovery all rest on it.  is_mds checks the side with fewer
-rows: a k x n code is MDS exactly when its dual is, so a tall matrix
-(2k > n) is brought to systematic form [I | A] by the span's own
-reduction, ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows,
-is checked.  On that side it walks the tree of column selections depth
-first, one span per shared prefix, and tests each full selection by
-the one coordinate of its last column's residue that the span has no
-pivot at.
+elimination is ColumnSpan, on packed columns too: a column is two ints,
+the GF(q) coordinates of 1 and of x of its entries in lanes of L bits,
+and a row operation is a few big-int multiplies by FieldSpec.mul_map
+entries over a per-lane offset, then one exact multiply-shift quotient
+per coordinate that reduces every lane mod q at once (the lane bounds
+are in the ColumnSpan docstring).  It grows a fully reduced column basis
+with first-nonzero pivoting: deterministic, and with no stability
+considerations in an exact field.  Each add returns the pivots whose
+basis columns it set, the only ones that can have newly become unit
+vectors.  is_mds and the decoder's unit-vector membership and value
+recovery all rest on it; each caller packs its columns once.  is_mds
+checks the side with fewer rows: a k x n code is MDS exactly when its
+dual is, so a tall matrix (2k > n) is brought to systematic form [I | A]
+by the span's own reduction, ColumnSpan._reduce, and its dual
+[-A^T | I], of n - k rows, is checked.  On that side it walks the tree
+of column selections depth first, one span per shared prefix, and tests
+each full selection by the one coordinate of its last column's residue
+that the span has no pivot at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Optional, Sequence
 
 from .galois import FieldSpec
 
@@ -152,8 +154,9 @@ def is_mds(g: Matrix) -> bool:
     its part along the span, sum_p c[p]*b_p over the pivots p, is zero at
     every pivot and c[z] - sum_p b_p[z]*c[p] at z: c lies in the span iff
     that one coordinate is zero, its 1 and x parts both.  Each leaf
-    computes only it, with FieldSpec.mul_map of the b_p[z] taken once per
-    node.
+    computes only it, from the display codes c[p], with FieldSpec.mul_map
+    of the b_p[z] read from the packed basis once per node.  The columns
+    that interior nodes add are packed once per block.
     """
     if g.rows > g.cols:
         raise ValueError("is_mds requires rows <= cols")
@@ -166,17 +169,22 @@ def is_mds(g: Matrix) -> bool:
         return True
     f, n = g.field, len(cols)
     q = f.q
+    root = ColumnSpan(f, dim)
+    L, mask = root.lanes.width, root.lanes.mask
+    packed = [root.pack(c) for c in cols[: n - 1]] if dim > 1 else []  # the last one is only a leaf
 
     def walk(span: ColumnSpan, start: int) -> bool:
         depth = len(span.basis)
         if depth < dim - 1:
             for c in range(start, n - dim + depth + 1):
                 child = span.copy()
-                if not child.add(cols[c]) or not walk(child, c + 1):
+                if not child.add(packed[c]) or not walk(child, c + 1):
                     return False
             return True
         z = next(i for i in range(dim) if i not in span.basis)
-        maps = [(p, f.mul_map(b[z])) for p, b in span.basis.items() if b[z]]
+        zs = z * L
+        at_z = [(p, (b1 >> zs & mask) * q + (b0 >> zs & mask)) for p, (b0, b1) in span.basis.items()]
+        maps = [(p, f.mul_map(e)) for p, e in at_z if e]
         for col in cols[start:]:
             lo, hi = col[z] % q, col[z] // q
             for p, (m00, m01, m10, m11) in maps:
@@ -187,7 +195,7 @@ def is_mds(g: Matrix) -> bool:
                 return False
         return True
 
-    return walk(ColumnSpan(f, dim), 0)
+    return walk(root, 0)
 
 
 def _dual_columns(f: FieldSpec, k: int, cols: list[list[int]]) -> Optional[list[list[int]]]:
@@ -197,42 +205,57 @@ def _dual_columns(f: FieldSpec, k: int, cols: list[list[int]]) -> Optional[list[
 
     The first k columns enter a span with identity tails, so the basis
     column of pivot p carries column p of the inverse of their block in
-    its tail.  Reducing column k+i with a zero tail against that basis
-    (ColumnSpan._reduce, the reduction of every add) clears its head and
-    leaves column i of -A in its tail: row i of the dual, before its e_i.
+    its tail.  Reducing column k+i, packed with its k tail lanes zero,
+    against that basis (ColumnSpan._reduce, the reduction of every add)
+    clears its head and leaves column i of -A in its tail: row i of the
+    dual, before its e_i.
     """
-    span = ColumnSpan(f, k)
+    span = ColumnSpan(f, k, 2 * k)
+    L = span.lanes.width
     for t in range(k):
-        if not span.add(cols[t] + [int(i == t) for i in range(k)]):
+        lo, hi = span.pack(cols[t])
+        if not span.add((lo | 1 << (k + t) * L, hi)):
             return None
     n_k = len(cols) - k
-    rows = [span._reduce(c + [0] * k)[0][k:] + [int(i == j) for j in range(n_k)]
+    rows = [span.codes(span._reduce(span.pack(c)))[k:] + [int(i == j) for j in range(n_k)]
             for i, c in enumerate(cols[k:])]
     return [list(col) for col in zip(*rows)]
 
 
-def _minus_times(x: list[int], c: int, y: list[int], f: FieldSpec) -> list[int]:
-    """x - c*y entrywise on display codes, with no field method per entry.
+class _Lanes:
+    """The lane layout of ColumnSpan for one (q, length, dim); see _lanes."""
 
-    For y = y0 + y1*x, c*y goes through c's FieldSpec.mul_map, or scales
-    y0 and y1 alone when c lies in GF(q); y0 may be replaced by the code
-    y itself, since y = y0 (mod q).
-    """
-    q = f.q
-    if c < q:
-        return [(a // q - c * (b // q)) % q * q + (a - c * b) % q for a, b in zip(x, y)]
-    m00, m01, m10, m11 = f.mul_map(c)
-    return [(a // q - m10 * b - m11 * (b // q)) % q * q + (a - m00 * b - m01 * (b // q)) % q
-            for a, b in zip(x, y)]
+    __slots__ = ("width", "mask", "length", "head", "offset", "mod")
+
+    def __init__(self, width: int, mask: int, length: int, head: int, offset: int,
+                 mod: Callable[[int], int]):
+        self.width = width  # L, bits per lane
+        self.mask = mask  # one lane of ones
+        self.length = length  # lanes per packed coordinate
+        self.head = head  # ones over the first dim lanes
+        self.offset = offset  # the per-lane offset, in every lane
+        self.mod = mod  # every lane, each in [0, 2^a), reduced mod q
 
 
-def _times(c: int, y: list[int], f: FieldSpec) -> list[int]:
-    """c*y entrywise on display codes, by the rule of _minus_times."""
-    q = f.q
-    if c < q:
-        return [c * (b // q) % q * q + c * b % q for b in y]
-    m00, m01, m10, m11 = f.mul_map(c)
-    return [(m10 * b + m11 * (b // q)) % q * q + (m00 * b + m01 * (b // q)) % q for b in y]
+@lru_cache(maxsize=None)
+def _lanes(q: int, length: int, dim: int) -> _Lanes:
+    """The lane layout of ColumnSpan, built on first use, once per
+    (q, length, dim); the bounds and why mod is exact are in the
+    ColumnSpan docstring."""
+    offset = q * -(-2 * dim * (q - 1) ** 2 // q)
+    a = (offset + q - 1).bit_length()
+    s = a + (q - 1).bit_length()
+    M = -(-(1 << s) // q)
+    L = (((1 << a) - 1) * M).bit_length()
+    ones = sum(1 << i * L for i in range(length))
+    mask = (1 << L) - 1
+    head = mask * sum(1 << i * L for i in range(dim))
+
+    # the constants are defaults, so that each call reads them as locals
+    def mod(x: int, M: int = M, s: int = s, quotient: int = ((1 << L - s) - 1) * ones) -> int:
+        return x - (x * M >> s & quotient) * q
+
+    return _Lanes(L, mask, length, head, offset * ones, mod)
 
 
 class ColumnSpan:
@@ -240,94 +263,157 @@ class ColumnSpan:
 
     The basis is fully reduced: the basis column of pivot p has a 1 at p
     and a 0 at every other pivot.  So e_j lies in the span exactly when j
-    is a pivot whose basis column is zero off the pivots, a lookup with no
-    field operations.
+    is a pivot whose basis column is zero off the pivots, a masked compare
+    with no field operations.
 
-    A column may be longer than dim.  Its entries past dim are carried
-    through every reduction but never chosen as pivots.  A basis column
-    that equals e_j on its first dim coordinates therefore carries the
-    tails of the added columns combined with the same coefficients that
-    combine their heads into e_j.
+    A column may be longer than dim, up to the length given.  Its entries
+    past dim are carried through every reduction but never chosen as
+    pivots.  A basis column that equals e_j on its first dim coordinates
+    therefore carries the tails of the added columns combined with the
+    same coefficients that combine their heads into e_j.
+
+    Lane layout.  A column is two ints (lo, hi): the GF(q) coordinates of
+    1 and of x of its entries, entry i in the lane of L bits at bit i*L
+    (pack; codes reads them back).  Callers pack their columns once and
+    add them packed.  A stored column has every lane in [0, q).
+
+    Row operations.  y - c*b, for c with FieldSpec.mul_map (m00, m01, m10,
+    m11), is lo: y0 - m00*b0 - m01*b1 and hi: y1 - m10*b0 - m11*b1, whole
+    ints at a time; when c lies in GF(q) it is y0 - c*b0 and y1 - c*b1,
+    and an x part that is zero stays zero.  The basis is fully reduced, so
+    _reduce reads the coefficient of each pivot from the added column's
+    own lanes and sums the products before it reduces once.  A lane so
+    loses at most dim products, each two terms of at most (q-1)^2: at
+    most 2*dim*(q-1)^2.  The bounds, built by _lanes once per
+    (q, length, dim):
+
+    - offset, the least multiple of q >= 2*dim*(q-1)^2, is added to every
+      lane, so no lane goes negative and each keeps its value mod q;
+    - a = bit_length(offset + q - 1): every lane then lies in [0, 2^a);
+    - s = a + bit_length(q-1) and M = ceil(2^s / q): for y in [0, 2^a),
+      floor(y*M / 2^s) = floor(y/q) (Granlund and Montgomery, "Division by
+      Invariant Integers using Multiplication", 1994).  y*M/2^s exceeds
+      y/q by less than y*q/(q*2^s) < 2^(a-s) <= 1/q, as q <= 2^(s-a), and
+      y/q lies at least 1/q below the next integer;
+    - L = bit_length((2^a - 1)*M): the product of a lane with M fits its
+      own lane, so multiplying a packed int by M carries nothing between
+      lanes.  Shifted right by s, each lane's quotient lies in its L - s
+      low bits, under the s low bits of the lane above, which a mask per
+      lane drops.
+
+    So _Lanes.mod, x - q*((x*M >> s) & mask), reduces every lane mod q
+    with one multiply-shift quotient per coordinate, exactly, at any q:
+    the lanes widen with q and dim, with no fixed word size.
 
     add reduces a column against the basis (_reduce, which the dual of
-    is_mds shares), scales it and clears its pivot from the basis.  Each
-    basis column carries a flag, True when it is known to lie in GF(q)^len,
-    so that a row operation between base columns is one (x - c*y) % q per
-    entry (98% of the build's); a column that met an extension element
-    stays False.  The other paths' calls per seed-0 benchmark round, with
-    the scalar in GF(q) / not: _minus_times build 1,699/299, stream
-    31,436/88; _times build 232/150, stream 5,445/56; FieldSpec.inv build
-    17,164/150, stream 7,357/56.  Every branch is taken, so each stays.
-
-    add returns the pivots whose basis columns it set: the new pivot, then
-    each pivot rebound in back-substitution.  Only these can have newly
-    become unit vectors; a basis column that already is one has a 0 at the
-    new pivot, so it is never rebound.
+    is_mds shares), scales it and clears its pivot, the lowest nonzero
+    lane of its head, from the basis.  It returns the pivots whose basis
+    columns it set: the new pivot, then each pivot rebound in
+    back-substitution.  Only these can have newly become unit vectors; a
+    basis column that already is one has a 0 at the new pivot, so it is
+    never rebound.
     """
 
-    def __init__(self, field: FieldSpec, dim: int):
+    __slots__ = ("field", "dim", "lanes", "basis")
+
+    def __init__(self, field: FieldSpec, dim: int, length: Optional[int] = None):
         self.field = field
         self.dim = dim
-        self.basis: dict[int, list[int]] = {}  # pivot -> basis column
-        self._base: dict[int, bool] = {}  # pivot -> basis column lies in GF(q)
+        self.lanes = _lanes(field.q, dim if length is None else length, dim)
+        self.basis: dict[int, tuple[int, int]] = {}  # pivot -> packed basis column
+
+    def pack(self, col: Sequence[int]) -> tuple[int, int]:
+        """The packed (lo, hi) of a column of display codes."""
+        q, L = self.field.q, self.lanes.width
+        lo = hi = 0
+        for e in reversed(col):
+            lo = lo << L | e % q
+            hi = hi << L | e // q
+        return lo, hi
+
+    def codes(self, col: tuple[int, int]) -> list[int]:
+        """The display codes of a packed column with reduced lanes."""
+        q, L, mask = self.field.q, self.lanes.width, self.lanes.mask
+        lo, hi = col
+        return [(hi >> i & mask) * q + (lo >> i & mask) for i in range(0, self.lanes.length * L, L)]
 
     def copy(self) -> "ColumnSpan":
-        """An independent span.  add rebinds basis columns and never
-        mutates one in place, so a shallow copy of the basis suffices."""
-        other = ColumnSpan(self.field, self.dim)
+        """An independent span.  Packed columns are ints, never mutated, so
+        a shallow copy of the basis suffices."""
+        other = ColumnSpan.__new__(ColumnSpan)
+        other.field, other.dim, other.lanes = self.field, self.dim, self.lanes
         other.basis = dict(self.basis)
-        other._base = dict(self._base)
         return other
 
-    def _reduce(self, col: Sequence[int]) -> tuple[Sequence[int], bool]:
-        """(residue, residue in GF(q)): col less its part along the basis,
-        zero at every pivot, and whether it is known to lie in GF(q)."""
-        f, base = self.field, self._base
+    def _reduce(self, col: tuple[int, int]) -> tuple[int, int]:
+        """col less its part along the basis: zero at every pivot.  The
+        basis is fully reduced, so the coefficient of pivot p is col's own
+        entry at p, and the products are summed before one reduction."""
+        lanes, f = self.lanes, self.field
+        L, mask, offset, mod = lanes.width, lanes.mask, lanes.offset, lanes.mod
         q = f.q
-        r = col  # never mutated: every step below builds a new list
-        r_base = max(r, default=0) < q
-        for p, b in self.basis.items():
-            c = r[p]
-            if c:
-                if r_base and base[p]:
-                    r = [(x - c * y) % q for x, y in zip(r, b)]
-                else:
-                    r_base = False
-                    r = _minus_times(r, c, b, f)
-        return r, r_base
+        lo, hi = col
+        s0 = s1 = 0
+        for p, (b0, b1) in self.basis.items():
+            sh = p * L
+            c1 = hi and hi >> sh & mask
+            if c1:
+                m00, m01, m10, m11 = f.mul_map(c1 * q + (lo >> sh & mask))
+                s0 += m00 * b0 + m01 * b1
+                s1 += m10 * b0 + m11 * b1
+            else:
+                c = lo >> sh & mask
+                if c:
+                    s0 += c * b0
+                    if b1:
+                        s1 += c * b1
+        if not (s0 or s1):
+            return col
+        x1 = hi - s1
+        return mod(offset + lo - s0), x1 and mod(offset + x1)
 
-    def add(self, col: Sequence[int]) -> list[int]:
-        """Append a column; the pivots whose basis columns it set, the new
-        pivot first, or [] if the column was already in the span."""
-        f, basis, base = self.field, self.basis, self._base
+    def add(self, col: tuple[int, int]) -> list[int]:
+        """Append a packed column; the pivots whose basis columns it set,
+        the new pivot first, or [] if the column was already in the span."""
+        f, basis, lanes = self.field, self.basis, self.lanes
+        L, mask, offset, mod = lanes.width, lanes.mask, lanes.offset, lanes.mod
         q = f.q
-        r, r_base = self._reduce(col)
-        head = r[: self.dim]
-        lead = next(filter(None, head), 0)
-        if not lead:
+        r0, r1 = self._reduce(col)
+        h = (r0 | r1) & lanes.head
+        if not h:
             return []
-        p = head.index(lead)
-        pinv = f.inv(lead)
-        r = [pinv * x % q for x in r] if r_base else _times(pinv, r, f)
+        p = ((h & -h).bit_length() - 1) // L  # the lowest nonzero lane
+        sh = p * L
+        lead = (r1 >> sh & mask) * q + (r0 >> sh & mask)
+        if lead >= q:
+            m00, m01, m10, m11 = f.mul_map(f.inv(lead))
+            r0, r1 = mod(m00 * r0 + m01 * r1), mod(m10 * r0 + m11 * r1)
+        elif lead != 1:
+            c = f.inv(lead)
+            r0, r1 = mod(c * r0), r1 and mod(c * r1)
         changed = [p]
-        # rebind, never mutate, a basis column: copy() shares them
-        for s, b in basis.items():
-            c = b[p]
-            if c:
-                changed.append(s)
-                if r_base and base[s]:
-                    basis[s] = [(x - c * y) % q for x, y in zip(b, r)]
-                else:
-                    base[s] = False
-                    basis[s] = _minus_times(b, c, r, f)
-        basis[p] = r
-        base[p] = r_base
+        for t, (b0, b1) in basis.items():
+            c1 = b1 and b1 >> sh & mask
+            if c1:
+                m00, m01, m10, m11 = f.mul_map(c1 * q + (b0 >> sh & mask))
+                x0 = b0 - m00 * r0 - m01 * r1
+                x1 = b1 - m10 * r0 - m11 * r1
+            else:
+                c = b0 >> sh & mask
+                if not c:
+                    continue
+                x0 = b0 - c * r0
+                x1 = b1 - c * r1 if r1 else b1
+            changed.append(t)
+            basis[t] = (mod(offset + x0), x1 and mod(offset + x1))
+        basis[p] = (r0, r1)
         return changed
 
     def contains_unit(self, j: int) -> bool:
         """True iff e_j lies in the span: j is a pivot whose basis column
-        has a 0 at every other coordinate of the head.  That column keeps
-        its 1 at j (back-substitution subtracts multiples of columns that
-        are 0 at every earlier pivot), so one count of zeros decides."""
+        is e_j on the head.  That column keeps its 1 at j (back-substitution
+        subtracts multiples of columns that are 0 at every earlier pivot),
+        so one masked compare of each coordinate decides."""
         b = self.basis.get(j)
-        return b is not None and b[: self.dim].count(0) == self.dim - 1
+        lanes = self.lanes
+        return b is not None and b[0] & lanes.head == 1 << j * lanes.width and not b[1] & lanes.head

@@ -4,10 +4,10 @@ Everything here deliberately avoids the library's Gaussian elimination
 and field internals: arithmetic is done longhand on (lo, hi) coordinate
 pairs, determinants by permutation expansion, rank by maximal nonzero
 minor search, and inverses by the extended Euclidean algorithm over the
-polynomial ring.  ReferenceSpan, the slow path that the inlined
+polynomial ring.  ReferenceSpan, the slow path that the packed
 linalg.ColumnSpan must match, is built from these pair oracles too, so
 a fault in FieldSpec's arithmetic cannot hide in it.  KERNEL_FIELDS are
-the fields the field arithmetic, the packed encoder and the inlined span
+the fields the field arithmetic, the packed encoder and the packed span
 are tested over.
 
 The paper's statements that the pipeline never evaluates live here too:
@@ -188,8 +188,9 @@ class ReferenceSpan:
     """The column-span elimination spelled out entry by entry in the pair
     oracles (o_sub, o_mul, ext_euclid_inverse), with no FieldSpec
     arithmetic: the slow path that linalg.ColumnSpan replaced.  Same
-    contract: add(col) -> enlarged?, and basis maps each pivot to its fully
-    reduced basis column of display codes.
+    contract on display codes: add(col) -> enlarged?, reduce(col) is col
+    less its part along the span, and basis maps each pivot to its fully
+    reduced basis column.
     """
 
     def __init__(self, field, dim):
@@ -197,28 +198,33 @@ class ReferenceSpan:
         self.dim = dim
         self.basis = {}
 
-    def add(self, col):
+    def _times(self, c, y):
         q, c1, c0 = self.field.q, self.field.c1, self.field.c0
+        return [o_mul(c, b, q, c1, c0) for b in code_pairs(y, q)]
 
-        def times(c, y):
-            return [o_mul(c, b, q, c1, c0) for b in code_pairs(y, q)]
+    def _minus_times(self, x, c, y):
+        q = self.field.q
+        cy = self._times(code_pairs([c], q)[0], y)
+        return [pair_code(o_sub(a, b, q), q) for a, b in zip(code_pairs(x, q), cy)]
 
-        def minus_times(x, c, y):
-            cy = times(code_pairs([c], q)[0], y)
-            return [pair_code(o_sub(a, b, q), q) for a, b in zip(code_pairs(x, q), cy)]
-
+    def reduce(self, col):
         r = list(col)
         for p, b in self.basis.items():
             if r[p]:
-                r = minus_times(r, r[p], b)
+                r = self._minus_times(r, r[p], b)
+        return r
+
+    def add(self, col):
+        q, c1, c0 = self.field.q, self.field.c1, self.field.c0
+        r = self.reduce(col)
         p = next((i for i in range(self.dim) if r[i]), None)
         if p is None:
             return False
         pinv = ext_euclid_inverse(code_pairs([r[p]], q)[0], q, c1, c0)
-        r = [pair_code(e, q) for e in times(pinv, r)]
+        r = [pair_code(e, q) for e in self._times(pinv, r)]
         for s, b in self.basis.items():
             if b[p]:
-                self.basis[s] = minus_times(b, b[p], r)
+                self.basis[s] = self._minus_times(b, b[p], r)
         self.basis[p] = r
         return True
 

@@ -250,7 +250,7 @@ def test_criterion_10_oracle_suites(example_code):
         m = Matrix(r, c, spec, tuple(rng.randrange(spec.q) for _ in range(r * c)))
         span = ColumnSpan(spec, r)
         for j in range(c):
-            span.add(m.col(j))
+            span.add(span.pack(m.col(j)))
         assert len(span.basis) == rank_bruteforce(codes_to_pairs(m), spec.q, spec.c1, spec.c0)
         n_rank += 1
     n_mds = 0

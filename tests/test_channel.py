@@ -40,6 +40,20 @@ def test_erasure_pattern_validation_and_normalisation():
     assert ErasurePattern(0).as_bits() == []
 
 
+@pytest.mark.parametrize("erased", [(2.5,), (3, 2.0), (True,), (1, False), ("3",)], ids=repr)
+def test_erasure_pattern_rejects_slots_that_are_not_ints(erased):
+    """A float slot matches no slot of the codeword, so it would decode as
+    if nothing were erased: rejected, like a bool or a string."""
+    with pytest.raises(ValueError, match="erased slot is not an int"):
+        ErasurePattern(24, erased)
+
+
+@pytest.mark.parametrize("horizon", [24.0, True, "24", None], ids=repr)
+def test_erasure_pattern_rejects_a_horizon_that_is_not_an_int(horizon):
+    with pytest.raises(ValueError, match="horizon is not an int"):
+        ErasurePattern(horizon, (2,))
+
+
 def test_generators_reject_empty_horizons():
     ch = ChannelModel(7, 4, 2)
     for horizon in (0, -3):

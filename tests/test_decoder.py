@@ -352,6 +352,20 @@ def test_verifier_matches_bruteforce(request, name):
     assert verdicts[0] and not all(verdicts)
 
 
+def test_committed_spec_walk_is_pinned():
+    """The benchmark's committed (20,10,6,2) spec, k = 18 rows at n = 24:
+    the gate passes after 523 patterns, and miss_table over the same
+    admissible patterns finds no missed symbol."""
+    code = codespec.load(STREAM_SPEC)
+    result = verify_achievable(code)
+    assert (result.passed, result.patterns_checked) == (True, 523)
+    assert (code.G.rows, code.G.cols) == (18, 24)
+    admissible = [p.erased for p in enumerate_admissible_patterns(code.G.cols, code.verification_channel())]
+    assert len(admissible) == 523
+    table = miss_table(code.G, code.symbol_deadlines(), admissible)
+    assert table.keys() == set(admissible) and not any(table.values())
+
+
 def _miss_table_variants(code):
     """(matrix, deadlines): the code itself, a zeroed column, and T_u lowered by two."""
     p, deadlines = code.params, code.symbol_deadlines()

@@ -28,6 +28,9 @@ from oracles import (
 
 GF11 = field_spec(11)
 GF5 = field_spec(5)
+# the span's kernel also at lanes wider than 64 bits, and at the top of
+# (20,6,2)'s field-size schedule
+SPAN_FIELDS = [*KERNEL_FIELDS, field_spec(2**61 - 1), field_spec(12539)]
 STREAM_SPEC = Path(__file__).resolve().parents[1] / "perfbench/specs/stream_20_10_6_2.json"
 
 
@@ -49,7 +52,7 @@ def rank(m):
     """Column rank, which equals the row rank: the size of the span's basis."""
     span = ColumnSpan(m.field, m.rows)
     for j in range(m.cols):
-        span.add(m.col(j))
+        span.add(span.pack(m.col(j)))
     return len(span.basis)
 
 
@@ -66,12 +69,12 @@ def solve_for_unit(m, j):
     Column t enters the span carrying e_t, so the basis column that equals
     e_j on the first m.rows coordinates carries the coefficients h.
     """
-    span = ColumnSpan(m.field, m.rows)
+    span = ColumnSpan(m.field, m.rows, m.rows + m.cols)
     for t in range(m.cols):
-        span.add(m.col(t) + unit(m.cols, t))
+        span.add(span.pack(m.col(t) + unit(m.cols, t)))
     if not span.contains_unit(j):
         return None
-    return span.basis[j][m.rows :]
+    return span.codes(span.basis[j])[m.rows :]
 
 
 def test_rank_identity():
@@ -216,7 +219,7 @@ def test_is_mds_both_sides_match_bruteforce(spec, monkeypatch):
 
     class LoggedSpan(ColumnSpan):
         def add(self, col):
-            if len(col) == self.dim:  # a selection's column; the systematic form's carry tails
+            if self.lanes.length == self.dim:  # a selection's span; the systematic form's span carries tails
                 dims.append(self.dim)
             return super().add(col)
 
@@ -340,10 +343,10 @@ def test_column_span_tracks_rank():
             pairs = codes_to_pairs(m)
             span = ColumnSpan(spec, r)
             for j in range(c):
-                if j == c // 2:  # the verifier's walk relies on add never mutating a basis column
+                if j == c // 2:  # the verifier's walk relies on add never rebinding a copy's column
                     snapshot = span.copy()
-                    frozen = {p: list(b) for p, b in snapshot.basis.items()}
-                span.add(m.col(j))
+                    frozen = dict(snapshot.basis)
+                span.add(span.pack(m.col(j)))
             assert snapshot.basis == frozen
             assert len(span.basis) == rank_bruteforce(pairs, spec.q, spec.c1, spec.c0)
             for j in range(r):
@@ -359,31 +362,75 @@ def random_entry(rng, spec):
     return rng.randrange(1, spec.q) if pick < 0.65 else rng.randrange(spec.q, spec.order)
 
 
-@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def display(span):
+    """The span's basis, read as display codes."""
+    return {p: span.codes(b) for p, b in span.basis.items()}
+
+
+@pytest.mark.parametrize("spec", SPAN_FIELDS, ids=str)
+def test_lane_reduction_is_exact_at_its_bounds(spec):
+    """_Lanes.mod takes every lane in [0, 2^a) to its value mod q, on
+    lanes holding 0, q-1, q, kq - 1, kq + 1 and 2^a - 1, in every lane
+    position; and the offset is a multiple of q that covers the 2*dim*(q-1)^2
+    a row operation can subtract, with offset + q - 1 < 2^a."""
+    q = spec.q
+    rng = random.Random(q)
+    for length, dim in [(1, 1), (2, 1), (6, 6), (12, 6), (25, 25), (26, 25)]:
+        lanes = linalg._lanes(q, length, dim)
+        offset = lanes.offset & lanes.mask
+        a = (offset + q - 1).bit_length()
+        assert offset % q == 0 and offset >= 2 * dim * (q - 1) ** 2
+        top = (1 << a) - 1
+        ks = sorted({1, 2, top // q, rng.randrange(1, top // q + 1)})
+        values = [0, q - 1, q, top] + [v for k in ks for v in (k * q - 1, k * q + 1) if v <= top]
+        for shift in range(len(values)):
+            lane_values = [values[(i + shift) % len(values)] for i in range(length)]
+            for lv in (lane_values, [top] * length):
+                x = sum(v << i * lanes.width for i, v in enumerate(lv))
+                got = lanes.mod(x)
+                assert [got >> i * lanes.width & lanes.mask for i in range(length)] == [
+                    v % q for v in lv]
+
+
+def fill_to_bound(rng, spec, dim, tail):
+    """A span of rank dim whose basis columns are e_p with every tail entry
+    q^2 - 1, and a column of worst_case_entry on its head: reducing it
+    subtracts dim products of 2(q-1)^2 from the coordinate of 1 of each
+    tail lane, the bound the lane offset is sized for."""
+    top, worst = spec.order - 1, worst_case_entry(spec.q, spec.c1, spec.c0)
+    cols = [[int(i == p) for i in range(dim)] + [top] * tail for p in range(dim)]
+    rng.shuffle(cols)
+    return cols, [worst] * dim + [rng.choice([0, top]) for _ in range(tail)]
+
+
+@pytest.mark.parametrize("spec", SPAN_FIELDS, ids=str)
 def test_column_span_matches_reference(spec):
-    """The inlined elimination against the FieldSpec-method one: the same
-    verdict on every add and the same basis after it, on columns with tails,
-    all in GF(q) or not, and on copies taken midway.  add returns exactly
-    the pivots whose basis columns it created or rebound, told apart by
-    identity, with the new pivot first, and [] exactly where the reference
-    finds the column already in the span."""
+    """The packed elimination against the pair-oracle one: the same verdict
+    on every add and the same basis after it, read as display codes, on
+    columns with tails, all in GF(q) or not, and on copies taken midway;
+    at dims up to 25 with tails up to dim, the shapes of _dual_columns and
+    decode_message; and with columns of worst_case_entry, whose residue
+    (_reduce, as _dual_columns reads it) drives the lanes to their
+    unreduced bound.  add returns exactly the pivots whose basis columns it
+    created or rebound, told apart by identity, with the new pivot first,
+    and [] exactly where the reference finds the column already in the
+    span."""
     rng = random.Random(spec.q * 10 + spec.c1)
 
     def step(span, ref, col):
         before = dict(span.basis)
-        got = span.add(col)
+        got = span.add(span.pack(col))
         assert (got == []) == (not ref.add(col))
-        assert span.basis == ref.basis
+        assert display(span) == ref.basis
         assert sorted(got) == sorted(p for p, b in span.basis.items() if b is not before.get(p))
         assert not got or got[0] not in before
-        for p, flagged in span._base.items():  # a flag in GF(q) is never wrong
-            assert not flagged or max(span.basis[p]) < spec.q
 
-    for trial in range(150):
-        dim, tail = rng.randint(1, 6), rng.randint(0, 3)
-        base_only = trial % 3 == 0  # every column in GF(q): the (x - c*y) % q path only
-        span, ref = ColumnSpan(spec, dim), ReferenceSpan(spec, dim)
-        adds = rng.randint(1, 2 * dim + 2)
+    shapes = [(rng.randint(1, 6), rng.randint(0, 3)) for _ in range(150)]
+    shapes += [(12, 12), (25, 0), (25, 1), (25, 25)]
+    for trial, (dim, tail) in enumerate(shapes):
+        base_only = trial % 3 == 0  # every column in GF(q)
+        span, ref = ColumnSpan(spec, dim, dim + tail), ReferenceSpan(spec, dim)
+        adds = rng.randint(1, 2 * dim + 2) if dim < 12 else dim + 2
         for j in range(adds):
             col = [random_entry(rng, spec) for _ in range(dim + tail)]
             if base_only:
@@ -395,6 +442,13 @@ def test_column_span_matches_reference(spec):
         # the copy keeps growing on its own, still equal to the reference
         for _ in range(dim + 1):
             step(snapshot, ref_snapshot, [random_entry(rng, spec) for _ in range(dim + tail)])
+    for dim, tail in [(1, 1), (3, 2), (6, 6), (25, 1), (25, 25)]:
+        span, ref = ColumnSpan(spec, dim, dim + tail), ReferenceSpan(spec, dim)
+        cols, worst = fill_to_bound(rng, spec, dim, tail)
+        for col in cols:
+            step(span, ref, col)
+        assert span.codes(span._reduce(span.pack(worst))) == ref.reduce(worst)
+        step(span, ref, worst)
 
 
 def reference_units(ref):
@@ -413,7 +467,7 @@ def test_add_column_stamps_what_a_full_scan_finds(spec):
     def step(state, ref, col, t):
         span, times = state
         before = dict(times)
-        _add_column(span, col, t, times)
+        _add_column(span, span.pack(col), t, times)
         ref.add(col)
         new = times.keys() - before.keys()
         assert new == reference_units(ref) - before.keys()
@@ -422,7 +476,7 @@ def test_add_column_stamps_what_a_full_scan_finds(spec):
 
     for trial in range(150):
         dim, tail = rng.randint(1, 6), rng.choice([0, 0, 1, 3])
-        state = (ColumnSpan(spec, dim), {})
+        state = (ColumnSpan(spec, dim, dim + tail), {})
         ref = ReferenceSpan(spec, dim)
         adds = rng.randint(1, 2 * dim + 2)
         for t in range(adds):
