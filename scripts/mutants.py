@@ -99,6 +99,12 @@ MUTANTS = (
         "            if not isinstance(sym, int):",
         (f"{STREAM}test_push_rejects_non_int_symbols",),
     ),
+    Mutant(
+        "Matrix accepts entries that are not ints", "linalg.py",
+        "            if type(e) is not int:\n                raise ValueError(f\"matrix entry",
+        "            if False:\n                raise ValueError(f\"matrix entry",
+        (f"{LINALG}test_matrix_rejects_entries_that_are_not_ints",),
+    ),
     # -- the packed ColumnSpan elimination ---------------------------------------
     Mutant(
         "lane quotient multiplier rounded down", "linalg.py",
@@ -202,8 +208,14 @@ MUTANTS = (
     ),
     Mutant(
         "is_mds leaf test ignores the x coordinate", "linalg.py",
-        "            if not (lo % q or hi % q):",
-        "            if not lo % q:",
+        "            if not (r0 | r1) & head:",
+        "            if not r0 & head:",
+        (f"{LINALG}test_is_mds_both_sides_match_bruteforce",),
+    ),
+    Mutant(
+        "is_mds leaf test masks only lane 0", "linalg.py",
+        "            if not (r0 | r1) & head:",
+        "            if not (r0 | r1) & root.lanes.mask:",
         (f"{LINALG}test_is_mds_both_sides_match_bruteforce",),
     ),
     Mutant(
@@ -228,17 +240,44 @@ MUTANTS = (
     ),
     Mutant(
         "new-erasure window rule starts one window late", "channel.py",
-        "bisect_left(erased, first_new - ch.W + 1)",
-        "bisect_left(erased, first_new + 1)",
+        "bisect_left(erased, t - ch.W + 1)",
+        "bisect_left(erased, t + 1)",
         (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
          f"{CHANNEL}test_enumerate_matches_subset_filter"),
     ),
     Mutant(
         "new-erasure window rule starts one slot late", "channel.py",
-        "bisect_left(erased, first_new - ch.W + 1)",
-        "bisect_left(erased, first_new - ch.W + 2)",
+        "bisect_left(erased, t - ch.W + 1)",
+        "bisect_left(erased, t - ch.W + 2)",
         (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
          f"{CHANNEL}test_enumerate_matches_subset_filter"),
+    ),
+    Mutant(
+        "new-erasure rule refuses N arbitrary erasures", "channel.py",
+        "return cnt <= ch.N or",
+        "return cnt < ch.N or",
+        (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
+         f"{CHANNEL}test_admissibility_matches_bruteforce"),
+    ),
+    Mutant(
+        "new-erasure rule refuses a burst of B", "channel.py",
+        "(cnt <= ch.B and",
+        "(cnt < ch.B and",
+        (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce", f"{CHANNEL}test_full_burst_admissible"),
+    ),
+    Mutant(
+        "new-erasure burst test off by one slot", "channel.py",
+        "erased[-cnt] == t - cnt + 1",
+        "erased[-cnt] == t - cnt",
+        (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
+         f"{CHANNEL}test_multi_slot_extend_matches_bruteforce"),
+    ),
+    Mutant(
+        "_extend rolls back one slot short", "channel.py",
+        "            del erased[n:]",
+        "            del erased[n + 1 :]",
+        (f"{CHANNEL}test_new_erasure_rule_matches_bruteforce",
+         f"{CHANNEL}test_multi_slot_extend_matches_bruteforce"),
     ),
     # -- the decode sweep and the verifier's walk ---------------------------------
     Mutant(

@@ -8,9 +8,12 @@ of the infinite packet stream, and unconstrained padding would forbid
 nothing.
 
 The admissible patterns of a horizon form a tree (drop the last erasure
-and a pattern stays admissible), which the verifier walks without listing.
-enumerate_admissible_patterns lists it; it is the reference the walk's
-tests compare against.
+and a pattern stays admissible), so a pattern is checked one erasure at
+a time: _last_ok decides whether an admissible pattern stays admissible
+with one more erasure past its last.  It is the one rule: the
+verifier's walk, the enumerator, the sampler and is_admissible all
+grow their patterns through it.  enumerate_admissible_patterns lists the
+tree; it is the reference the walk's tests compare against.
 """
 
 from __future__ import annotations
@@ -71,49 +74,42 @@ class ErasurePattern:
         return ErasurePattern(length, tuple(t - start for t in self.erased[lo:hi]))
 
 
-def _windows_ok(erased: Sequence[int], first: int, ch: ChannelModel) -> bool:
-    """Window rule for the windows [erased[lo], erased[lo]+W) with lo >= first;
-    erased sorted and distinct, so a window starting at erased[lo] holds
-    the erasures lo..hi-1."""
-    for lo in range(first, len(erased)):
-        hi = bisect_right(erased, erased[lo] + ch.W - 1, lo)
-        cnt = hi - lo
-        if cnt <= ch.N:
-            continue
-        if cnt > ch.B:
-            return False
-        # burst branch: the erasures inside the window must be consecutive
-        if erased[hi - 1] - erased[lo] + 1 != cnt:
+def _last_ok(erased: Sequence[int], ch: ChannelModel) -> bool:
+    """The window rule for the newest erasure t = erased[-1], given that
+    erased[:-1] is admissible.
+
+    Only the windows holding t can change, and of those only the ones
+    that start at an erasure in [t-W+1, t] need checking (see
+    is_admissible).  t is the last erasure, so each of them holds every
+    erasure from its start up to t: the first holds the cnt erasures of
+    [t-W+1, t], and the others hold suffixes of them, with fewer
+    erasures and no gap the first lacks.  So the first decides: at most N
+    erasures, or at most B that run up to t with no gap.
+    """
+    t = erased[-1]
+    cnt = len(erased) - bisect_left(erased, t - ch.W + 1)
+    return cnt <= ch.N or (cnt <= ch.B and erased[-cnt] == t - cnt + 1)
+
+
+def _extend(erased: list[int], extra: Sequence[int], ch: ChannelModel) -> bool:
+    """Append extra, sorted and past erased[-1], to an admissible sorted
+    list if it stays admissible.
+
+    The slots go in one at a time, each checked by _last_ok; on a reject
+    the whole of extra is rolled back and False returned.
+    """
+    n = len(erased)
+    for t in extra:
+        erased.append(t)
+        if not _last_ok(erased, ch):
+            del erased[n:]
             return False
     return True
 
 
-def _tail_ok(erased: Sequence[int], first_new: int, ch: ChannelModel) -> bool:
-    """The window rule for new erasures: erased is sorted, and admissible
-    before its erasures from first_new on were appended.
-
-    Only windows holding a new erasure can change, and of those only the
-    ones starting at an erasure >= first_new - W + 1 need checking (see
-    is_admissible).
-    """
-    return _windows_ok(erased, bisect_left(erased, first_new - ch.W + 1), ch)
-
-
-def _extend(erased: list[int], extra: Sequence[int], ch: ChannelModel) -> bool:
-    """Append extra to an admissible sorted list if it stays admissible.
-
-    extra is sorted and lies past erased[-1]; _tail_ok decides.  On a
-    reject the list is rolled back and False returned.
-    """
-    erased.extend(extra)
-    if _tail_ok(erased, extra[0], ch):
-        return True
-    del erased[-len(extra) :]
-    return False
-
-
 def is_admissible(p: ErasurePattern, ch: ChannelModel) -> bool:
-    """Window rule over the windows that start at an erasure.
+    """Window rule over the windows that start at an erasure, checked one
+    erasure at a time, left to right, by _last_ok.
 
     These are the only windows that need checking.  A window [i, i+W)
     that breaks the rule holds an erasure; let e be its first.  [e, e+W)
@@ -122,7 +118,7 @@ def is_admissible(p: ErasurePattern, ch: ChannelModel) -> bool:
     old ones, so a gap between the old ones cannot close.  So [e, e+W)
     breaks the rule too.
     """
-    return _windows_ok(p.erased, 0, ch)
+    return _extend([], p.erased, ch)
 
 
 def enumerate_admissible_patterns(horizon: int, ch: ChannelModel) -> list[ErasurePattern]:
@@ -142,9 +138,10 @@ def enumerate_admissible_patterns(horizon: int, ch: ChannelModel) -> list[Erasur
     def visit(start: int):
         out.append(ErasurePattern(horizon, tuple(current)))
         for t in range(start, horizon):
-            if _extend(current, (t,), ch):
+            current.append(t)
+            if _last_ok(current, ch):
                 visit(t + 1)
-                current.pop()
+            current.pop()
 
     visit(0)
     return out

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .channel import ERASURE_MARK, ChannelModel, ErasurePattern, _tail_ok
+from .channel import ERASURE_MARK, ChannelModel, ErasurePattern, _last_ok
 from .linalg import ColumnSpan, Matrix
 
 
@@ -257,8 +257,8 @@ def verify_matrix(
 ) -> VerificationResult:
     """Check every admissible pattern on [0, cols); the first failure wins.
 
-    One _walk over the admissible-pattern tree: channel._tail_ok, the
-    window rule for the new erasure, admits a child, and each visited
+    One _walk over the admissible-pattern tree: channel._last_ok, the
+    window rule for the newest erasure, admits a child, and each visited
     pattern's decode times are checked against the deadlines; a row with
     no decode time misses every deadline, however late.  So every
     admissible pattern is checked once, the counterexample is the first
@@ -277,7 +277,7 @@ def verify_matrix(
             return ErasurePattern(n, tuple(erased)), _report(times, symbols)
         return None
 
-    miss = _walk(g, lambda erased: _tail_ok(erased, erased[-1], ch), visit)
+    miss = _walk(g, lambda erased: _last_ok(erased, ch), visit)
     if miss:
         return VerificationResult(False, checked, *miss)
     return VerificationResult(True, checked, None, None)

@@ -23,8 +23,8 @@ dual is, so a tall matrix (2k > n) is brought to systematic form [I | A]
 by the span's own reduction, ColumnSpan._reduce, and its dual
 [-A^T | I], of n - k rows, is checked.  On that side it walks the tree
 of column selections depth first, one span per shared prefix, and tests
-each full selection by the one coordinate of its last column's residue
-that the span has no pivot at.
+each full selection by whether the span's own reduction of its last
+column leaves a zero head.
 """
 
 from __future__ import annotations
@@ -46,9 +46,14 @@ class Matrix:
     def __post_init__(self):
         if len(self.data) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
+        # exactly int, as codespec.load and vec_mul ask: a float or bool
+        # breaks the packed kernels and the JSON dump
         order = self.field.order
-        if any(not 0 <= e < order for e in self.data):
-            raise ValueError("entry out of field range")
+        for e in self.data:
+            if type(e) is not int:
+                raise ValueError(f"matrix entry is not an int: {e!r}")
+            if not 0 <= e < order:
+                raise ValueError(f"entry out of field range: {e}")
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -84,7 +89,9 @@ class Matrix:
         fields: every map entry and every a0, a1 lies in [0, q), so a
         field summing at most `rows` rows stays below 2*rows*(q-1)^2 < 2^w.
         Built on the first encode, not with the matrix: most matrices
-        (submatrix, is_mds blocks) never encode.
+        (submatrix, is_mds blocks) never encode.  It keeps this layout, not
+        ColumnSpan's two ints per column, because those would take four
+        multiplies per symbol where this takes two, in lanes no narrower.
         """
         q, mul_map = self.field.q, self.field.mul_map
         w = (2 * self.rows * (q - 1) ** 2).bit_length() or 1  # a 0-row matrix packs zeros
@@ -149,14 +156,10 @@ def is_mds(g: Matrix) -> bool:
     more column added, so a prefix is reduced once for every selection
     that shares it.  A dependent prefix decides: every selection that
     extends it is dependent, so the walk ends at once with False.  At the
-    last level the span has rank dim - 1 and so exactly one coordinate z
-    that is not a pivot.  The basis is fully reduced, so a column c less
-    its part along the span, sum_p c[p]*b_p over the pivots p, is zero at
-    every pivot and c[z] - sum_p b_p[z]*c[p] at z: c lies in the span iff
-    that one coordinate is zero, its 1 and x parts both.  Each leaf
-    computes only it, from the display codes c[p], with FieldSpec.mul_map
-    of the b_p[z] read from the packed basis once per node.  The columns
-    that interior nodes add are packed once per block.
+    last level the span has rank dim - 1, and a leaf is one more column c:
+    the basis is fully reduced, so c lies in the span exactly when its
+    residue, ColumnSpan._reduce(c), is zero on the head.  Every column of
+    the block is packed once.
     """
     if g.rows > g.cols:
         raise ValueError("is_mds requires rows <= cols")
@@ -167,11 +170,9 @@ def is_mds(g: Matrix) -> bool:
             return False
     if not dim:
         return True
-    f, n = g.field, len(cols)
-    q = f.q
-    root = ColumnSpan(f, dim)
-    L, mask = root.lanes.width, root.lanes.mask
-    packed = [root.pack(c) for c in cols[: n - 1]] if dim > 1 else []  # the last one is only a leaf
+    root = ColumnSpan(g.field, dim)
+    head, n = root.lanes.head, len(cols)
+    packed = [root.pack(c) for c in cols]
 
     def walk(span: ColumnSpan, start: int) -> bool:
         depth = len(span.basis)
@@ -181,17 +182,9 @@ def is_mds(g: Matrix) -> bool:
                 if not child.add(packed[c]) or not walk(child, c + 1):
                     return False
             return True
-        z = next(i for i in range(dim) if i not in span.basis)
-        zs = z * L
-        at_z = [(p, (b1 >> zs & mask) * q + (b0 >> zs & mask)) for p, (b0, b1) in span.basis.items()]
-        maps = [(p, f.mul_map(e)) for p, e in at_z if e]
-        for col in cols[start:]:
-            lo, hi = col[z] % q, col[z] // q
-            for p, (m00, m01, m10, m11) in maps:
-                a0, a1 = col[p] % q, col[p] // q
-                lo -= m00 * a0 + m01 * a1
-                hi -= m10 * a0 + m11 * a1
-            if not (lo % q or hi % q):
+        for c in range(start, n):
+            r0, r1 = span._reduce(packed[c])
+            if not (r0 | r1) & head:
                 return False
         return True
 

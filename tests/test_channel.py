@@ -14,7 +14,7 @@ from muxfec.channel import (
     write_trace,
     ERASURE_MARK,
     _extend,
-    _tail_ok,
+    _last_ok,
 )
 
 from oracles import admissible_bruteforce, pattern_count_closed_form
@@ -100,23 +100,46 @@ def test_admissibility_matches_bruteforce():
             assert is_admissible(p, ch) == admissible_bruteforce(horizon, W, B, N, erased)
 
 
-@pytest.mark.parametrize("W,B,N", CHANNELS[:3])
+@pytest.mark.parametrize("W,B,N", CHANNELS)
 def test_new_erasure_rule_matches_bruteforce(W, B, N):
-    """The rule the verifier's walk admits a child by: every one-slot
-    extension of every admissible pattern, against the definition.  _extend
-    agrees, and rolls a rejected slot back."""
+    """The rule every pattern grows by: every one-slot extension of every
+    admissible pattern, against the definition.  _extend agrees, and
+    rolls a rejected slot back."""
     ch = ChannelModel(W, B, N)
     verdicts = set()
     for horizon in range(1, 11):
         for p in enumerate_admissible_patterns(horizon, ch):
             for t in range(p.erased[-1] + 1 if p.erased else 0, horizon):
                 want = admissible_bruteforce(horizon, W, B, N, (*p.erased, t))
-                assert _tail_ok([*p.erased, t], t, ch) == want, (horizon, p.erased, t)
+                assert _last_ok([*p.erased, t], ch) == want, (horizon, p.erased, t)
                 erased = list(p.erased)
                 assert _extend(erased, (t,), ch) == want
                 assert erased == ([*p.erased, t] if want else list(p.erased))
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("W,B,N", CHANNELS)
+def test_multi_slot_extend_matches_bruteforce(W, B, N):
+    """The sampler's burst path: every admissible pattern extended by a run
+    of 1..B+1 slots, and by two separated slots, past its last erasure.
+    The verdict is the definition's, and a reject leaves the list as it
+    was, whichever slot of the extension broke the rule."""
+    ch = ChannelModel(W, B, N)
+    verdicts = set()
+    for horizon in range(1, 11):
+        for p in enumerate_admissible_patterns(horizon, ch):
+            first = p.erased[-1] + 1 if p.erased else 0
+            runs = [tuple(range(t, t + r)) for t in range(first, horizon)
+                    for r in range(1, B + 2) if t + r <= horizon]
+            pairs = [(t, u) for t in range(first, horizon) for u in range(t + 2, horizon)]
+            for extra in runs + pairs:
+                want = admissible_bruteforce(horizon, W, B, N, (*p.erased, *extra))
+                erased = list(p.erased)
+                assert _extend(erased, extra, ch) == want, (horizon, p.erased, extra)
+                assert erased == ([*p.erased, *extra] if want else list(p.erased))
+                verdicts.add((len(extra) > 1, want))
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def test_enumerate_horizon3_exact():

@@ -545,6 +545,17 @@ def test_spec_load_builds_no_packed_rows():
     assert "packed_rows" in vars(code.G)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, None], ids=repr)
+def test_matrix_rejects_entries_that_are_not_ints(bad):
+    """A float or None entry would fail deep in the packed kernels, and a
+    float or bool would be dumped as a JSON float or true: rejected when
+    the matrix is made, as codespec.load rejects them in a spec file."""
+    with pytest.raises(ValueError, match=f"matrix entry is not an int: {bad!r}"):
+        Matrix.from_rows(GF5, [[1, bad, 3], [0, 1, 2]])
+    with pytest.raises(ValueError, match="not an int"):
+        Matrix(2, 3, GF5, (1, 2, 3, 0, 1, bad))
+
+
 def test_matrix_rejects_ragged_rows_and_wrong_vector_length():
     with pytest.raises(ValueError, match="ragged rows"):
         Matrix.from_rows(GF11, [[1, 2, 3], [4, 5]])
