@@ -282,8 +282,8 @@ MUTANTS = (
     # -- the decode sweep and the verifier's walk ---------------------------------
     Mutant(
         "_decode_times stamps one slot late", "decoder.py",
-        "_add_column(span, span.pack(col), t, times)",
-        "_add_column(span, span.pack(col), t + 1, times)",
+        "_add_column(span, (lo, hi), t, times)",
+        "_add_column(span, (lo, hi), t + 1, times)",
         (f"{DECODER}test_no_erasures_sequential_times", f"{DECODER}test_example_urgent_anchor_burst",
          f"{DECODER}test_decoder_times_never_beat_span_rank",
          f"{ACCEPTANCE}test_criterion_4_decode_time_anchors"),
@@ -311,6 +311,33 @@ MUTANTS = (
         "if any(row not in times or times[row] > deadline for row, deadline in due):",
         "if any(row in times and times[row] > deadline for row, deadline in due):",
         (f"{DECODER}test_verifier_matches_bruteforce",),
+    ),
+    Mutant(
+        "decoded value read one lane low", "decoder.py",
+        "mask, sh = g.field.q, span.lanes.mask, g.rows * span.lanes.width",
+        "mask, sh = g.field.q, span.lanes.mask, (g.rows - 1) * span.lanes.width",
+        (f"{DECODER}test_decode_message_recovers_every_maximal_pattern",
+         f"{DECODER}test_decode_message_on_columns_a_walk_cached"),
+    ),
+    # -- the stream's diagonals grouped into runs by their first erasure ----------
+    Mutant(
+        "a run's lower bound one slot off", "stream.py",
+        "first = t - n + 1",
+        "first = t - n + 2",
+        (f"{STREAM}test_runs_expand_to_every_restricted_diagonal",),
+    ),
+    Mutant(
+        "a diagonal's pattern cut at n inclusive", "stream.py",
+        "if offset + r < n",
+        "if offset + r <= n",
+        (f"{STREAM}test_runs_expand_to_every_restricted_diagonal",
+         f"{STREAM}test_simulate_matches_per_diagonal_reference"),
+    ),
+    Mutant(
+        "a signature's last offset not expanded", "stream.py",
+        "update(range(lo, hi))",
+        "update(range(lo, hi - 1))",
+        (f"{STREAM}test_runs_expand_to_every_restricted_diagonal",),
     ),
     # -- output paths are checked before any work ---------------------------------
     Mutant(

@@ -6,11 +6,11 @@ the generator restricted to S.  One sweep over time per erasure pattern,
 growing a ColumnSpan of the received columns, gives every symbol's
 earliest decode time; check_pattern and decode_message both read it.
 The decode times are a dict from row to slot that holds only the rows
-decoded so far, so its size says when every row has decoded.  Each
-caller packs its columns once for the span (ColumnSpan.pack).
-decode_message packs each column with its received symbol as one more
-lane, so the sweep also yields the decoded values: a decoded row's value
-is that lane of its basis column.
+decoded so far, so its size says when every row has decoded.  G packs
+its columns once (Matrix.packed_cols), and every sweep and walk on it
+adds those.  decode_message ORs each column's received symbol into one
+more lane, so the sweep also yields the decoded values: a decoded row's
+value is that lane of its basis column.
 
 One depth-first walk of an erasure-pattern tree (_walk) decodes as it
 goes, so a pattern shares the sweep of its parent up to its last erasure.
@@ -137,17 +137,21 @@ def _decode_times(
 
     Row j decodes at the slot whose column brings e_j into the span; a row
     that never decodes has no entry.  The sweep stops once every row has
-    one.  With received, each column carries its received symbol.  p must
-    cover exactly the codeword's slots.
+    one.  With received, each column of g.packed_cols carries its
+    received symbol in lane g.rows.  p must cover exactly the codeword's
+    slots.
     """
     if p.horizon != g.cols:
         raise ValueError(f"pattern horizon {p.horizon} != codeword length {g.cols}")
     span = ColumnSpan(g.field, g.rows, g.rows + (received is not None))
+    q, sh = g.field.q, g.rows * span.lanes.width
     times: dict[int, int] = {}
-    for t in range(g.cols):
+    for t, (lo, hi) in enumerate(g.packed_cols):
         if t not in p:
-            col = g.col(t) if received is None else g.col(t) + [received[t]]
-            _add_column(span, span.pack(col), t, times)
+            if received is not None:
+                y = received[t]
+                lo, hi = lo | y % q << sh, hi | y // q << sh
+            _add_column(span, (lo, hi), t, times)
         if len(times) == g.rows:
             break
     return times, span
@@ -196,10 +200,11 @@ def decode_message(
 ) -> DecodeReport:
     """Decode actual symbol values from a received sequence.
 
-    Each generator column is extended by its received symbol before it
-    enters the span.  Since received = x . G is linear, the basis column
-    that becomes e_j carries x_j in that extra entry, and keeps it as
-    later columns arrive.  Symbols that never decode are still reported
+    Each packed generator column is extended by its received symbol, in
+    lane g.rows, before it enters the span.  Since received = x . G is
+    linear, the basis column that becomes e_j carries x_j in that extra
+    lane, and keeps it as later columns arrive; the value is read from
+    that one lane.  Symbols that never decode are still reported
     (no early abort), to support falsification tests.  A received symbol
     must be a display code: an int (not a bool) in [0, q^2).
     """
@@ -213,7 +218,9 @@ def decode_message(
         if not erased and not (type(y) is int and 0 <= y < order):
             raise ValueError(f"received symbol at slot {t} is not a display code: {y!r}")
     times, span = _decode_times(g, p, received)
-    return _report(times, symbols, {j: span.codes(b)[g.rows] for j, b in span.basis.items()})
+    q, mask, sh = g.field.q, span.lanes.mask, g.rows * span.lanes.width
+    values = {j: (b1 >> sh & mask) * q + (b0 >> sh & mask) for j, (b0, b1) in span.basis.items()}
+    return _report(times, symbols, values)
 
 
 def _walk(
@@ -233,9 +240,8 @@ def _walk(
     before their parent, in increasing order of the added slot.  A truthy
     return of visit stops the walk and is returned; otherwise None is.
     """
-    n, k = g.cols, g.rows
+    n, k, cols = g.cols, g.rows, g.packed_cols
     root = ColumnSpan(g.field, k)
-    cols = [root.pack(g.col(t)) for t in range(n)]
     erased: list[int] = []  # the current node's pattern, extended and popped in place
 
     def walk(span: ColumnSpan, times: dict[int, int], start: int):

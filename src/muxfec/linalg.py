@@ -17,14 +17,14 @@ with first-nonzero pivoting: deterministic, and with no stability
 considerations in an exact field.  Each add returns the pivots whose
 basis columns it set, the only ones that can have newly become unit
 vectors.  is_mds and the decoder's unit-vector membership and value
-recovery all rest on it; each caller packs its columns once.  is_mds
-checks the side with fewer rows: a k x n code is MDS exactly when its
-dual is, so a tall matrix (2k > n) is brought to systematic form [I | A]
-by the span's own reduction, ColumnSpan._reduce, and its dual
-[-A^T | I], of n - k rows, is checked.  On that side it walks the tree
-of column selections depth first, one span per shared prefix, and tests
-each full selection by whether the span's own reduction of its last
-column leaves a zero head.
+recovery all rest on it.  G packs its columns once (Matrix.packed_cols),
+and is_mds packs each column of a block once.  is_mds checks the side
+with fewer rows: a k x n code is MDS exactly when its dual is, so a tall
+matrix (2k > n) is brought to systematic form [I | A] by the span's own
+reduction, ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows,
+is checked.  On that side it walks the tree of column selections depth
+first, one span per shared prefix, and tests each full selection by
+whether the span's own reduction of its last column leaves a zero head.
 """
 
 from __future__ import annotations
@@ -105,6 +105,18 @@ class Matrix:
                     p1 |= (m11 << w | m01) << 2 * j * w
             packed.append((p0, p1))
         return 2 * w, tuple(packed)
+
+    @cached_property
+    def packed_cols(self) -> tuple[tuple[int, int], ...]:
+        """Each column packed for a ColumnSpan of dim `rows` (ColumnSpan.pack).
+
+        Built on first use, like packed_rows, so G packs its columns once
+        for every walk, check_pattern and decode_message on it.  A lane's
+        width and offset depend only on (q, dim), so a span of greater
+        length takes these columns as they are, its extra lanes zero.
+        """
+        span = ColumnSpan(self.field, self.rows)
+        return tuple(span.pack(self.col(j)) for j in range(self.cols))
 
     def lane_codes(self, packed: Iterable[int]) -> list[int]:
         """The display code of the lowest lane of each packed codeword."""
@@ -267,8 +279,10 @@ class ColumnSpan:
 
     Lane layout.  A column is two ints (lo, hi): the GF(q) coordinates of
     1 and of x of its entries, entry i in the lane of L bits at bit i*L
-    (pack; codes reads them back).  Callers pack their columns once and
-    add them packed.  A stored column has every lane in [0, q).
+    (pack; codes reads them back).  Columns are packed once (G's in
+    Matrix.packed_cols) and added packed.  L and the offset depend only
+    on (q, dim), so a column packed for dim lanes is one of a longer span
+    with its extra lanes zero.  A stored column has every lane in [0, q).
 
     Row operations.  y - c*b, for c with FieldSpec.mul_map (m00, m01, m10,
     m11), is lo: y0 - m00*b0 - m01*b1 and hi: y1 - m10*b0 - m11*b1, whole

@@ -23,12 +23,21 @@ the first n-1 packets are partially filled with zeros and message
 coordinates that would belong to earlier diagonals are not carried;
 violations are therefore only assessed for diagonals fully inside the
 simulated horizon.
+
+simulate_stream decodes each distinct induced pattern once, and finds
+them without building one per diagonal.  Every diagonal d whose first
+erasure is t has the pattern "the erasures of [t, t+n), less t, shifted
+up by t - d and cut at n".  So one pass over the erasures groups the
+diagonals into runs (d0, d1, t, rel), and the distinct patterns are the
+expansions of the runs' distinct (rel, offset range) signatures; a run
+of diagonals with no erasure adds () once, however long it is.  Memory
+grows with the distinct runs, not with the horizon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .channel import ErasurePattern, is_admissible
 from .decoder import miss_table
@@ -148,42 +157,88 @@ def stream_encode(
     return [state.push(v_t, u_t) for v_t, u_t in messages]
 
 
-def _induced_keys(erased: Sequence[int], n: int, diagonals: range) -> Iterator[tuple[int, ...]]:
-    """Each diagonal's induced pattern, read off the sorted erasure tuple.
+# (d0, d1, t, rel): the diagonals d0 <= d < d1 whose first erasure is t; see _runs
+_Run = tuple[int, int, int, tuple[int, ...]]
 
-    Two pointers bound the erasures inside the diagonal's n slots:
-    erased[lo:hi] lie in [d, d+n), re-indexed from d.  A sentinel slot past
-    the last diagonal's end stops both pointers without a length test.
+
+def _runs(erased: Sequence[int], n: int, stop: int) -> Iterator[_Run]:
+    """The diagonals 0 <= d < stop grouped by their first erasure, in order.
+
+    A run (d0, d1, t, rel) covers the diagonals d0 <= d < d1, whose first
+    erasure is t: rel holds the erasures of [t, t+n), less t, and the
+    induced pattern of d is rel shifted up by t - d and cut at n
+    (_shifted).  A run of diagonals with no erasure has rel = (), and t is
+    the slot past the run's last window.  One pass over the sorted
+    erasures: t's run starts after the previous erasure and at the first
+    diagonal whose window holds t, t - n + 1, and ends with d = t.
     """
-    erased = [*erased, diagonals.stop + n]
-    lo = hi = 0
-    for d in diagonals:
-        while erased[lo] < d:
-            lo += 1
-        while erased[hi] < d + n:
+    d = hi = 0  # d: the first diagonal not yet in a run; erased[hi]: the first at or past t + n
+    m = len(erased)
+    for i, t in enumerate(erased):
+        if d >= stop:
+            return
+        first = t - n + 1
+        if first > d:
+            yield d, first, t, ()
+            d = first
+        while hi < m and erased[hi] < t + n:
             hi += 1
-        yield tuple([t - d for t in erased[lo:hi]]) if lo < hi else ()
+        end = t + 1 if t < stop else stop
+        yield d, end, t, tuple([e - t for e in erased[i:hi]])
+        d = end
+    if d < stop:
+        yield d, stop, stop + n - 1, ()
+
+
+def _shifted(rel: tuple[int, ...], offset: int, n: int) -> tuple[int, ...]:
+    """rel shifted up by offset and cut at n: one diagonal's induced pattern."""
+    return tuple([offset + r for r in rel if offset + r < n])
+
+
+def _expand(runs: Iterable[_Run], n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(d, induced pattern of d) for every diagonal of the runs, in order."""
+    for d0, d1, t, rel in runs:
+        for d in range(d0, d1):
+            yield d, _shifted(rel, t - d, n)
+
+
+def _distinct_keys(runs: Iterable[_Run], n: int) -> set[tuple[int, ...]]:
+    """The distinct induced patterns of the runs.
+
+    A run's patterns are rel at the offsets t - d of its diagonals, the
+    range [t - d1 + 1, t - d0 + 1).  So the runs reduce to their distinct
+    signatures (rel, offset range), every run of empty diagonals to one
+    signature of () however long it is, and each distinct rel is expanded
+    once at every offset that some signature of it covers.
+    """
+    sigs = {(rel, t - d1 + 1, t - d0 + 1) if rel else ((), 0, 1) for d0, d1, t, rel in runs}
+    offsets: dict[tuple[int, ...], set[int]] = {}
+    for rel, lo, hi in sigs:
+        offsets.setdefault(rel, set()).update(range(lo, hi))
+    return {_shifted(rel, o, n) for rel, offs in offsets.items() for o in offs}
 
 
 def simulate_stream(code: MuxCode, erasures: ErasurePattern) -> StreamReport:
     """Check every due symbol of every complete diagonal against its deadline.
 
     Decodability is a property of the induced intra-block pattern alone.
-    A first pass collects the distinct induced patterns (keys); one
+    A first pass over the erasures groups the diagonals into runs by
+    their first erasure (_runs) and collects the distinct induced
+    patterns (keys) from the runs' distinct signatures; one
     decoder.miss_table walk over their prefixes decodes them all.  Only
-    when some key misses a deadline does a second pass rebuild the keys
-    diagonal by diagonal and report the violations, in diagonal order.
-    Memory grows with the distinct keys, not with the horizon.
+    when some key misses a deadline does a second pass expand every run,
+    diagonal by diagonal, and report the violations, in diagonal order.
+    Memory grows with the distinct runs, not with the horizon.
     """
     ch = code.verification_channel()
     if not is_admissible(erasures, ch):
         raise ValueError(f"erasure sequence not admissible for (W={ch.W}, B={ch.B}, N={ch.N})")
     erased, n = erasures.erased, code.params.n
-    diagonals = range(0, erasures.horizon - n + 1)
-    table = miss_table(code.G, code.symbol_deadlines(), _induced_keys(erased, n, diagonals))
+    stop = max(0, erasures.horizon - n + 1)
+    table = miss_table(code.G, code.symbol_deadlines(), _distinct_keys(_runs(erased, n, stop), n))
     violations: list[StreamViolation] = []
     if any(table.values()):
-        for d, key in zip(diagonals, _induced_keys(erased, n, diagonals)):
+        for d, key in _expand(_runs(erased, n, stop), n):
             for miss in table[key]:
                 violations.append(
                     StreamViolation(
@@ -195,4 +250,4 @@ def simulate_stream(code: MuxCode, erasures: ErasurePattern) -> StreamReport:
                         pattern_excerpt=key,
                     )
                 )
-    return StreamReport(erasures.horizon, len(diagonals), len(erased), tuple(violations))
+    return StreamReport(erasures.horizon, stop, len(erased), tuple(violations))

@@ -279,6 +279,29 @@ def test_decode_message_recovers_every_maximal_pattern(example_code):
             assert [s.value for s in report.symbols] == msg
 
 
+def test_decode_message_on_columns_a_walk_cached(example_code):
+    """G packs its columns once: after a verify_matrix walk has cached
+    them, decode_message reports exactly what it reports on a fresh copy
+    of G, values and all, and each decoded value is the message's."""
+    rng = random.Random(9)
+    g = example_code.G
+    walked = Matrix(g.rows, g.cols, g.field, g.data)
+    assert verify_matrix(walked, example_code.symbol_deadlines(),
+                         example_code.verification_channel()).passed
+    assert "packed_cols" in vars(walked)
+    deadlines = example_code.symbol_deadlines()
+    patterns = enumerate_admissible_patterns(g.cols, example_code.verification_channel())
+    for p in [*patterns[::7], ErasurePattern(g.cols, tuple(range(0, g.cols, 2)))]:
+        msg = [rng.randrange(g.field.order) for _ in range(g.rows)]
+        received = apply_erasure(g.vec_mul(msg), p)
+        fresh = Matrix(g.rows, g.cols, g.field, g.data)
+        assert "packed_cols" not in vars(fresh)
+        report = decode_message(walked, received, p, deadlines)
+        assert report == decode_message(fresh, received, p, deadlines)
+        assert [s.value for s in report.symbols if s.decode_time is not None] == \
+            [x for x, s in zip(msg, report.symbols) if s.decode_time is not None]
+
+
 def test_report_serialization(example_code):
     p = ErasurePattern(14, (0, 5))
     report = check_pattern(example_code.G, p, example_code.symbol_deadlines())

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from muxfec import codespec, linalg
-from muxfec.decoder import _add_column
-from muxfec.galois import FieldSpec, field_spec
+from muxfec.decoder import _add_column, verify_achievable
+from muxfec.galois import FieldSpec, field_sizes, field_spec
 from muxfec.linalg import ColumnSpan, Matrix, is_mds
+from muxfec.muxcode import MAX_ATTEMPTS
 from muxfec.singlecode import BASE_SPECIAL, EXTENSION_SPECIAL, BlockCode, _draw_matrix
 
 from oracles import (
@@ -543,6 +544,29 @@ def test_spec_load_builds_no_packed_rows():
     assert "packed_rows" not in vars(code.G)
     code.encode([0] * code.params.k_v, [0] * code.params.k_u)
     assert "packed_rows" in vars(code.G)
+
+
+def test_spec_load_builds_no_packed_cols():
+    """codespec.load leaves G's packed columns to the first walk or
+    decode, which caches them on G for every later one."""
+    code = codespec.load(STREAM_SPEC)
+    assert "packed_cols" not in vars(code.G)
+    verify_achievable(code)
+    cols = vars(code.G)["packed_cols"]
+    span = ColumnSpan(code.field, code.G.rows)
+    assert cols == tuple(span.pack(code.G.col(j)) for j in range(code.G.cols))
+
+
+@pytest.mark.parametrize("dim", range(1, 31))
+def test_one_more_lane_keeps_width_and_offset(dim):
+    """decode_message puts G's packed columns, laid out for dim lanes, in a
+    span of dim + 1 lanes: both layouts have the same lane width and
+    per-lane offset, at every field size of the draw schedule."""
+    for q in [*sorted(set(field_sizes(2, MAX_ATTEMPTS))), 2**61 - 1]:
+        short, long = linalg._lanes(q, dim, dim), linalg._lanes(q, dim + 1, dim)
+        assert long.width == short.width, q
+        assert long.offset & long.mask == short.offset & short.mask, q
+        assert long.head == short.head, q
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, None], ids=repr)

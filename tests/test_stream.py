@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from muxfec import codespec
-from muxfec.channel import ErasurePattern, is_admissible, random_erasure_sequence
+from muxfec.channel import ChannelModel, ErasurePattern, is_admissible, random_erasure_sequence
 from muxfec.decoder import check_pattern, verify_achievable
 from muxfec.linalg import Matrix
 from muxfec.muxcode import build_mux_code, select_parameters
@@ -15,6 +15,9 @@ from muxfec.stream import (
     StreamReport,
     StreamState,
     StreamViolation,
+    _distinct_keys,
+    _expand,
+    _runs,
     simulate_stream,
     stream_encode,
 )
@@ -271,6 +274,38 @@ def test_simulate_matches_per_diagonal_reference(example_code, random_dominant_c
         assert simulate_stream(tight, sequences[0]).violations
         assert simulate_stream(code, ErasurePattern(n - 1)).diagonals_checked == 0
         assert simulate_stream(code, ErasurePattern(n)).diagonals_checked == 1
+
+
+def grouping_cases(n, B):
+    """Erasure sequences at the edges of the run grouping, on horizons
+    n-1, n, n+1 and 3n: none; slots 0 and horizon-1; a B-burst at every
+    offset, across both ends; two erasures exactly n-1 and n apart."""
+    for horizon in (n - 1, n, n + 1, 3 * n):
+        yield ErasurePattern(horizon)
+        yield ErasurePattern(horizon, (0, horizon - 1)[: horizon])
+        for s in range(1 - B, horizon):
+            yield ErasurePattern(horizon, tuple(t for t in range(s, s + B) if 0 <= t < horizon))
+        for gap in (n - 1, n):
+            for a in range(horizon - gap):
+                yield ErasurePattern(horizon, (a, a + gap))
+
+
+@pytest.mark.parametrize("n,B", [(1, 2), (2, 2), (5, 3), (9, 4)])
+def test_runs_expand_to_every_restricted_diagonal(n, B):
+    """The runs cover the diagonals 0..horizon-n in order, each exactly
+    once, and expand to restrict(d, n).erased of every diagonal d; the
+    first pass's key set is exactly the set of those patterns, checked
+    here directly, since simulate_stream only looks a key up when some
+    other key misses a deadline."""
+    sequences = [*grouping_cases(n, B),
+                 *(random_erasure_sequence(200, ChannelModel(n + B, B, 1), seed=s, erasure_prob=0.2)
+                   for s in range(3))]
+    for seq in sequences:
+        stop = max(0, seq.horizon - n + 1)
+        runs = list(_runs(seq.erased, n, stop))
+        patterns = [seq.restrict(d, n).erased for d in range(stop)]
+        assert list(_expand(runs, n)) == list(enumerate(patterns)), seq
+        assert _distinct_keys(runs, n) == set(patterns), seq
 
 
 # sha256 of json.dumps(simulate_stream(...).to_dict()) over a seeded 2000-slot
