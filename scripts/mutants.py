@@ -59,7 +59,7 @@ MUTANTS = (
         "packed map entries swapped", "linalg.py",
         "p0 |= (m10 << w | m00) << 2 * j * w",
         "p0 |= (m00 << w | m10) << 2 * j * w",
-        (f"{LINALG}test_vec_mul_matches_pair_oracle", f"{STREAM}test_packet_bytes_pinned"),
+        (f"{LINALG}test_vec_mul_matches_pair_oracle", f"{STREAM}test_stream_encode_matches_push"),
     ),
     Mutant(
         "vec_mul accepts any int subclass", "linalg.py",
@@ -90,14 +90,39 @@ MUTANTS = (
         "stream encoder takes a symbol one slot before its arrival", "stream.py",
         "            if c and gen_time <= t:",
         "            if c and gen_time <= t + 1:",
-        (f"{STREAM}test_single_nonzero_message_traces_one_diagonal",
-         f"{STREAM}test_packet_bytes_pinned"),
+        (f"{STREAM}test_stream_encode_matches_push",),
     ),
     Mutant(
         "stream encoder accepts any int subclass", "stream.py",
         "            if type(sym) is not int:",
         "            if not isinstance(sym, int):",
         (f"{STREAM}test_push_rejects_non_int_symbols",),
+    ),
+    # -- the batch stream encoder ------------------------------------------------
+    Mutant(
+        "batch encoder skews one lane off", "stream.py",
+        "codes[np.arange(n, slots + n)[:, None] - lanes, lanes]",
+        "codes[np.arange(n, slots + n)[:, None] - lanes - 1, lanes]",
+        (f"{STREAM}test_stream_encode_matches_push", f"{STREAM}test_packet_bytes_pinned"),
+    ),
+    Mutant(
+        "batch encoder gathers a symbol one slot after its arrival", "stream.py",
+        "x[np.arange(slots)[:, None] + gen, np.arange(k)]",
+        "x[np.arange(slots)[:, None] + gen + 1, np.arange(k)]",
+        (f"{STREAM}test_stream_encode_matches_push",
+         f"{STREAM}test_single_nonzero_message_traces_one_diagonal"),
+    ),
+    Mutant(
+        "batch encoder in int64 at every q", "stream.py",
+        "dtype = np.int64 if 2 * k * (q - 1) ** 2 < 2**63 else object",
+        "dtype = np.int64",
+        (f"{STREAM}test_stream_at_worst_case_packing_width",),
+    ),
+    Mutant(
+        "batch encoder without the mod-q^2 reduction", "stream.py",
+        "np.fromiter(map(order.__rmod__, flat), dtype",
+        "np.fromiter(flat, dtype",
+        (f"{STREAM}test_stream_encode_matches_push",),
     ),
     Mutant(
         "Matrix accepts entries that are not ints", "linalg.py",
@@ -338,6 +363,13 @@ MUTANTS = (
         "update(range(lo, hi))",
         "update(range(lo, hi - 1))",
         (f"{STREAM}test_runs_expand_to_every_restricted_diagonal",),
+    ),
+    Mutant(
+        "miss_table skips a pattern one slot late", "decoder.py",
+        "late = any(row not in times or times[row] > deadline for",
+        "late = any(row not in times or times[row] > deadline + 1 for",
+        (f"{DECODER}test_miss_table_matches_check_pattern",
+         f"{STREAM}test_simulate_matches_per_diagonal_reference", f"{STREAM}test_simulate_report_pinned"),
     ),
     # -- output paths are checked before any work ---------------------------------
     Mutant(

@@ -299,15 +299,19 @@ def miss_table(
     admits a child exactly when it is a prefix of some pattern, so it needs
     no channel and no admissibility; each pattern's entry equals
     check_pattern(g, ErasurePattern(cols, pattern), symbols).misses().
+    The deadlines are checked first, as in verify_matrix, and a report is
+    built only for a pattern that misses one.
     """
     wanted = set(patterns)
     prefixes = {p[:i] for p in wanted for i in range(1, len(p) + 1)}
+    due = [(s.row, s.deadline) for s in symbols]
     table: dict[tuple[int, ...], list[SymbolResult]] = {}
 
     def visit(erased: list[int], times: dict[int, int]) -> None:
         key = tuple(erased)
         if key in wanted:
-            table[key] = _report(times, symbols).misses()
+            late = any(row not in times or times[row] > deadline for row, deadline in due)
+            table[key] = _report(times, symbols).misses() if late else []
 
     _walk(g, lambda erased: tuple(erased) in prefixes, visit)
     if len(table) != len(wanted):

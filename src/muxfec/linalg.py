@@ -5,8 +5,9 @@ flat row-major tuple.  The one encoding kernel is Matrix.packed_rows: a
 codeword is one int packing the unreduced GF(q) coordinates of 1 and x
 of each symbol in fixed-width bit fields, and a symbol a0 + a1*q adds
 a0*P0 + a1*P1 of its row, two big-int multiplies with no loop over the
-entries.  vec_mul and the stream encoder both accumulate with it and
-reduce each output symbol once, with Matrix.lane_codes.  The one
+entries.  vec_mul and the online stream encoder (StreamState.push) both
+accumulate with it and reduce each output symbol once, with
+Matrix.lane_codes.  The one
 elimination is ColumnSpan, on packed columns too: a column is two ints,
 the GF(q) coordinates of 1 and of x of its entries in lanes of L bits,
 and a row operation is a few big-int multiplies by FieldSpec.mul_map

@@ -12,11 +12,18 @@ T slots after it arrived, or sooner where the clamp to the diagonal's
 last slot binds.  The clamp decides no verdict, since a block decode
 time never exceeds n-1, but it is the slot a violation reports.
 
-The encoder keeps each live diagonal as one int, its codeword so far
+So a known message sequence is encoded by one fixed linear map, G,
+applied to every diagonal.  There are two encoders of it, with the same
+packets and the same errors.  stream_encode, the batch encoder, takes
+the whole sequence at once: one numpy matrix product gives every
+diagonal's codeword, and one gather skews the diagonals into packets.
+StreamState.push, the online encoder, takes one slot at a time, as a
+sender must: it keeps each live diagonal as one int, its codeword so far
 packed by Matrix.packed_rows, adds a symbol's packed row of G to it when
 the symbol arrives (two big-int multiplies), and reduces a lane to its
 display code once, when the packet carrying it is emitted: a shift, a
-mask and % q (Matrix.lane_codes).
+mask and % q (Matrix.lane_codes).  The tests hold the batch encoder to
+push, slot by slot.
 
 During warm-up only diagonals starting at slot 0 or later transmit, so
 the first n-1 packets are partially filled with zeros and message
@@ -37,6 +44,7 @@ grows with the distinct runs, not with the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .channel import ErasurePattern, is_admissible
@@ -87,7 +95,10 @@ class StreamReport:
 
 @dataclass
 class StreamState:
-    """Encoder state: the unreduced codewords of the last n diagonals.
+    """The online encoder's state: the unreduced codewords of the last n diagonals.
+
+    push encodes one slot as it arrives; stream_encode, the batch encoder,
+    sends the same packets for a whole known sequence at once.
 
     A diagonal is one int, a codeword of G packed by Matrix.packed_rows:
     the GF(q) coordinates of 1 and x of each lane, summed without
@@ -150,11 +161,50 @@ class StreamState:
 
 
 def stream_encode(
-    messages: Sequence[tuple[Sequence[int], Sequence[int]]], code: MuxCode
+    messages: Iterable[tuple[Sequence[int], Sequence[int]]], code: MuxCode
 ) -> list[list[int]]:
-    """Encode a message sequence; one n-wide packet per slot."""
-    state = StreamState(code)
-    return [state.push(v_t, u_t) for v_t, u_t in messages]
+    """Encode a message sequence; one n-wide packet per slot.
+
+    The batch encoder: the same packets as StreamState.push slot by slot,
+    and the same errors, from one matrix product over the whole horizon.
+    Every diagonal d < slots gathers its block message, coordinate r from
+    lane r of slot d + gen_time(r) (zero past the horizon, where causality
+    of G makes it reach no emitted lane), as GF(q) coordinates [v % q | v // q];
+    one product with G's mul_map matrix [[M00 M10], [M01 M11]] gives each
+    diagonal's unreduced codeword [lo | hi], reduced to display codes, and
+    packet t, lane j is then lane j of diagonal t - j (zero for t < j).
+    Every sum is at most 2k(q-1)^2, so int64 is exact below 2^63; past
+    that the arrays hold Python ints.  numpy is imported here, not at
+    module level, so that importing the package does not pay for it.
+    """
+    import numpy as np
+
+    StreamState(code)  # refuses a G that is not causal
+    p, g = code.params, code.G
+    q, order, n, k = g.field.q, g.field.order, p.n, g.rows
+    msgs = list(messages)
+    # push's first error: a slot's width is checked before its symbols
+    short = next((t for t, (v_t, u_t) in enumerate(msgs)
+                  if len(v_t) != p.k_v or len(u_t) != p.k_u), len(msgs))
+    flat = list(chain.from_iterable(chain.from_iterable(msgs[:short])))
+    if set(map(type, flat)) - {int}:
+        bad = next(sym for sym in flat if type(sym) is not int)
+        raise ValueError(f"message symbol is not an int: {bad!r}")
+    if short < len(msgs):
+        raise ValueError("message lanes must be (k_v, k_u) wide")
+    slots = len(msgs)
+    dtype = np.int64 if 2 * k * (q - 1) ** 2 < 2**63 else object
+    x = np.zeros((slots + n, k), dtype)
+    x[:slots] = np.fromiter(map(order.__rmod__, flat), dtype, slots * k).reshape(slots, k)
+    gen = np.array([s.gen_time for s in code.symbol_deadlines()], np.int64)  # lane r is row r
+    diag = x[np.arange(slots)[:, None] + gen, np.arange(k)]
+    maps = np.array([g.field.mul_map(e) for e in g.data], dtype).reshape(k, n, 4)
+    # lo = m00*a0 + m01*a1 and hi = m10*a0 + m11*a1 of each entry's mul_map
+    m = np.block([[maps[..., 0], maps[..., 2]], [maps[..., 1], maps[..., 3]]])
+    word = np.concatenate([diag % q, diag // q], axis=1) @ m
+    codes = np.concatenate([np.zeros((n, n), dtype), word[:, n:] % q * q + word[:, :n] % q])
+    lanes = np.arange(n)
+    return codes[np.arange(n, slots + n)[:, None] - lanes, lanes].tolist()
 
 
 # (d0, d1, t, rel): the diagonals d0 <= d < d1 whose first erasure is t; see _runs

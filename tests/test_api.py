@@ -11,6 +11,8 @@ reference.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import muxfec
@@ -85,3 +87,13 @@ def test_references_are_named_in_their_module_docstrings():
             assert (module, name) in defined, f"{module}.{name} is not a public definition"
             assert _names_as_reference(module, name), (
                 f"the {module} docstring does not name {name} as a reference")
+
+
+def test_cli_import_leaves_numpy_out():
+    """Only stream_encode imports numpy, inside the call: the CLI's import,
+    which a run of every subcommand pays, stays without it."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import muxfec.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ import pytest
 from muxfec import codespec
 from muxfec.channel import ChannelModel, ErasurePattern, is_admissible, random_erasure_sequence
 from muxfec.decoder import check_pattern, verify_achievable
+from muxfec.galois import field_spec
 from muxfec.linalg import Matrix
 from muxfec.muxcode import build_mux_code, select_parameters
 from muxfec.stream import (
@@ -87,13 +88,17 @@ def test_packet_values_match_block_encoding(example_code, random_dominant_code,
             assert got == word, f"diagonal {d}"
 
 
-def seeded_messages(code, slots, seed):
+def seeded_messages(code, slots, seed, extreme=False):
     """Seeded message lanes: GF(q^2) symbols, zeros, and symbols >= q^2,
-    which push reduces mod q^2."""
+    which the encoders reduce mod q^2; with extreme, also negative
+    symbols and symbols of either sign past the int64 range."""
     p, order = code.params, code.field.order
     rng = random.Random(seed)
 
     def symbol():
+        if extreme and rng.random() < 0.25:
+            past_int64 = rng.choice((-1, 1)) * 2**64 + rng.randrange(order)
+            return rng.choice((-rng.randrange(1, 3 * order), past_int64))
         return rng.choice((0, rng.randrange(order), rng.randrange(order, 3 * order)))
 
     return [([symbol() for _ in range(p.k_v)], [symbol() for _ in range(p.k_u)])
@@ -115,7 +120,23 @@ def test_packet_bytes_pinned(request, name):
     assert hashlib.sha256(json.dumps(packets).encode()).hexdigest() == PACKET_SHA256[name]
 
 
-@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("name", ["example_code", "random_dominant_code", "short_urgent_code"])
+def test_stream_encode_matches_push(request, name):
+    """The batch encoder sends exactly the packets of StreamState.push,
+    slot by slot: on seeded messages with zeros, symbols >= q^2, negative
+    symbols and symbols past int64, at horizons 0, 1, n-1, n and 3n, and
+    with the messages given as a generator."""
+    code = request.getfixturevalue(name)
+    n = code.params.n
+    for slots in (0, 1, n - 1, n, 3 * n):
+        msgs = seeded_messages(code, slots, slots, extreme=True)
+        state = StreamState(code)
+        want = [state.push(v_t, u_t) for v_t, u_t in msgs]
+        assert stream_encode(msgs, code) == want, slots
+        assert stream_encode((m for m in msgs), code) == want, slots
+
+
+@pytest.mark.parametrize("spec", [*KERNEL_FIELDS, field_spec(2**61 - 1)], ids=str)
 def test_stream_at_worst_case_packing_width(example_code, spec):
     """Every symbol q^2-1 through a causal G whose every entry from a row's
     generation time on is the worst_case_entry: the last lanes sum every
@@ -181,8 +202,16 @@ def test_rate_accounting(example_code):
 
 def test_stream_state_validates_lane_width(example_code):
     st = StreamState(example_code)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must be \(k_v, k_u\) wide"):
         st.push([0], [0])
+    p = example_code.params
+    with pytest.raises(ValueError, match=r"must be \(k_v, k_u\) wide"):
+        stream_encode([([0] * p.k_v, [0] * p.k_u), ([0], [0])], example_code)
+    # stream_encode raises push's first error: a slot's width, then its symbols
+    with pytest.raises(ValueError, match="not an int"):
+        stream_encode([([0.5] * p.k_v, [0] * p.k_u), ([0], [0])], example_code)
+    with pytest.raises(ValueError, match="wide"):
+        stream_encode([([0], [0]), ([0.5] * p.k_v, [0] * p.k_u)], example_code)
 
 
 def test_erasure_free_run_no_violations(example_code):
