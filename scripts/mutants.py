@@ -114,14 +114,14 @@ MUTANTS = (
     ),
     Mutant(
         "batch encoder in int64 at every q", "stream.py",
-        "dtype = np.int64 if 2 * k * (q - 1) ** 2 < 2**63 else object",
-        "dtype = np.int64",
+        "    if 2 * k * (q - 1) ** 2 >= 2**63:\n",
+        "    if False:\n",
         (f"{STREAM}test_stream_at_worst_case_packing_width",),
     ),
     Mutant(
         "batch encoder without the mod-q^2 reduction", "stream.py",
-        "np.fromiter(map(order.__rmod__, flat), dtype",
-        "np.fromiter(flat, dtype",
+        "np.fromiter(map(order.__rmod__, flat), np.int64",
+        "np.fromiter(flat, np.int64",
         (f"{STREAM}test_stream_encode_matches_push",),
     ),
     Mutant(
@@ -327,14 +327,14 @@ MUTANTS = (
     ),
     Mutant(
         "a row that never decodes counts as met (default time)", "decoder.py",
-        "if any(row not in times or times[row] > deadline for row, deadline in due):",
-        "if any(times.get(row, n) > deadline for row, deadline in due):",
+        "return any(row not in times or times[row] > deadline for row, deadline in due)",
+        "return any(times.get(row, -1) > deadline for row, deadline in due)",
         (f"{DECODER}test_verifier_matches_bruteforce",),
     ),
     Mutant(
         "a row that never decodes counts as met (skipped)", "decoder.py",
-        "if any(row not in times or times[row] > deadline for row, deadline in due):",
-        "if any(row in times and times[row] > deadline for row, deadline in due):",
+        "return any(row not in times or times[row] > deadline for row, deadline in due)",
+        "return any(row in times and times[row] > deadline for row, deadline in due)",
         (f"{DECODER}test_verifier_matches_bruteforce",),
     ),
     Mutant(
@@ -366,8 +366,8 @@ MUTANTS = (
     ),
     Mutant(
         "miss_table skips a pattern one slot late", "decoder.py",
-        "late = any(row not in times or times[row] > deadline for",
-        "late = any(row not in times or times[row] > deadline + 1 for",
+        "if _late(times, due) else []",
+        "if _late(times, [(row, deadline + 1) for row, deadline in due]) else []",
         (f"{DECODER}test_miss_table_matches_check_pattern",
          f"{STREAM}test_simulate_matches_per_diagonal_reference", f"{STREAM}test_simulate_report_pinned"),
     ),

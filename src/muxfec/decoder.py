@@ -258,6 +258,11 @@ def _walk(
     return walk(root, {}, 0)
 
 
+def _late(times: dict[int, int], due: Sequence[tuple[int, int]]) -> bool:
+    """Whether a row of due (row, deadline) decodes after its deadline or never."""
+    return any(row not in times or times[row] > deadline for row, deadline in due)
+
+
 def verify_matrix(
     g: Matrix, symbols: Sequence[SymbolDeadline], ch: ChannelModel
 ) -> VerificationResult:
@@ -279,7 +284,7 @@ def verify_matrix(
     def visit(erased: list[int], times: dict[int, int]):
         nonlocal checked
         checked += 1
-        if any(row not in times or times[row] > deadline for row, deadline in due):
+        if _late(times, due):
             return ErasurePattern(n, tuple(erased)), _report(times, symbols)
         return None
 
@@ -299,8 +304,8 @@ def miss_table(
     admits a child exactly when it is a prefix of some pattern, so it needs
     no channel and no admissibility; each pattern's entry equals
     check_pattern(g, ErasurePattern(cols, pattern), symbols).misses().
-    The deadlines are checked first, as in verify_matrix, and a report is
-    built only for a pattern that misses one.
+    The deadlines are checked first, by verify_matrix's _late, and a report
+    is built only for a pattern that misses one.
     """
     wanted = set(patterns)
     prefixes = {p[:i] for p in wanted for i in range(1, len(p) + 1)}
@@ -310,8 +315,7 @@ def miss_table(
     def visit(erased: list[int], times: dict[int, int]) -> None:
         key = tuple(erased)
         if key in wanted:
-            late = any(row not in times or times[row] > deadline for row, deadline in due)
-            table[key] = _report(times, symbols).misses() if late else []
+            table[key] = _report(times, symbols).misses() if _late(times, due) else []
 
     _walk(g, lambda erased: tuple(erased) in prefixes, visit)
     if len(table) != len(wanted):

@@ -173,15 +173,18 @@ def stream_encode(
     one product with G's mul_map matrix [[M00 M10], [M01 M11]] gives each
     diagonal's unreduced codeword [lo | hi], reduced to display codes, and
     packet t, lane j is then lane j of diagonal t - j (zero for t < j).
-    Every sum is at most 2k(q-1)^2, so int64 is exact below 2^63; past
-    that the arrays hold Python ints.  numpy is imported here, not at
-    module level, so that importing the package does not pay for it.
+    Every sum is at most 2k(q-1)^2, so int64 is exact below 2^63; a code
+    whose sums can pass that is encoded by push, which is exact at every
+    q.  numpy is imported here, not at module level, so that importing the
+    package does not pay for it.
     """
-    import numpy as np
-
-    StreamState(code)  # refuses a G that is not causal
+    state = StreamState(code)  # refuses a G that is not causal
     p, g = code.params, code.G
     q, order, n, k = g.field.q, g.field.order, p.n, g.rows
+    if 2 * k * (q - 1) ** 2 >= 2**63:
+        return [state.push(v_t, u_t) for v_t, u_t in messages]
+    import numpy as np
+
     msgs = list(messages)
     # push's first error: a slot's width is checked before its symbols
     short = next((t for t, (v_t, u_t) in enumerate(msgs)
@@ -193,16 +196,15 @@ def stream_encode(
     if short < len(msgs):
         raise ValueError("message lanes must be (k_v, k_u) wide")
     slots = len(msgs)
-    dtype = np.int64 if 2 * k * (q - 1) ** 2 < 2**63 else object
-    x = np.zeros((slots + n, k), dtype)
-    x[:slots] = np.fromiter(map(order.__rmod__, flat), dtype, slots * k).reshape(slots, k)
+    x = np.zeros((slots + n, k), np.int64)
+    x[:slots] = np.fromiter(map(order.__rmod__, flat), np.int64, slots * k).reshape(slots, k)
     gen = np.array([s.gen_time for s in code.symbol_deadlines()], np.int64)  # lane r is row r
     diag = x[np.arange(slots)[:, None] + gen, np.arange(k)]
-    maps = np.array([g.field.mul_map(e) for e in g.data], dtype).reshape(k, n, 4)
+    maps = np.array([g.field.mul_map(e) for e in g.data], np.int64).reshape(k, n, 4)
     # lo = m00*a0 + m01*a1 and hi = m10*a0 + m11*a1 of each entry's mul_map
     m = np.block([[maps[..., 0], maps[..., 2]], [maps[..., 1], maps[..., 3]]])
     word = np.concatenate([diag % q, diag // q], axis=1) @ m
-    codes = np.concatenate([np.zeros((n, n), dtype), word[:, n:] % q * q + word[:, :n] % q])
+    codes = np.concatenate([np.zeros((n, n), np.int64), word[:, n:] % q * q + word[:, :n] % q])
     lanes = np.arange(n)
     return codes[np.arange(n, slots + n)[:, None] - lanes, lanes].tolist()
 
