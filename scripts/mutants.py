@@ -337,12 +337,40 @@ MUTANTS = (
         "return any(row in times and times[row] > deadline for row, deadline in due)",
         (f"{DECODER}test_verifier_matches_bruteforce",),
     ),
+    # -- decode_message's table of decode maps ------------------------------------
     Mutant(
-        "decoded value read one lane low", "decoder.py",
-        "mask, sh = g.field.q, span.lanes.mask, g.rows * span.lanes.width",
-        "mask, sh = g.field.q, span.lanes.mask, (g.rows - 1) * span.lanes.width",
-        (f"{DECODER}test_decode_message_recovers_every_maximal_pattern",
+        "decoded value read one lane high", "decoder.py",
+        "for i, j in enumerate(rows)}",
+        "for i, j in enumerate(rows, 1)}",
+        (f"{DECODER}test_decode_message_matches_reference",
+         f"{DECODER}test_decode_message_recovers_every_maximal_pattern",
          f"{DECODER}test_decode_message_on_columns_a_walk_cached"),
+    ),
+    Mutant(
+        "decode map tag one lane off", "decoder.py",
+        "lo |= 1 << (k + t) * L",
+        "lo |= 1 << (k + t + 1) * L",
+        (f"{DECODER}test_decode_message_matches_reference",
+         f"{DECODER}test_decode_message_recovers_every_maximal_pattern"),
+    ),
+    Mutant(
+        "decode map keyed without the last erasure", "decoder.py",
+        "maps, key = g.decode_maps, p.erased",
+        "maps, key = g.decode_maps, p.erased[:-1]",
+        (f"{DECODER}test_decode_message_matches_reference",),
+    ),
+    Mutant(
+        "decode map hit skips the last received slot", "decoder.py",
+        "for t, p0, p1 in terms:",
+        "for t, p0, p1 in terms[:-1]:",
+        (f"{DECODER}test_decode_message_matches_reference",
+         f"{DECODER}test_round_trip_all_pattern_families"),
+    ),
+    Mutant(
+        "decode maps never evicted", "decoder.py",
+        "        if len(maps) >= DECODE_MAPS:",
+        "        if False:",
+        (f"{DECODER}test_decode_maps_stay_within_their_bound",),
     ),
     # -- the stream's diagonals grouped into runs by their first erasure ----------
     Mutant(

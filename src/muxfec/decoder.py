@@ -8,9 +8,13 @@ earliest decode time; check_pattern and decode_message both read it.
 The decode times are a dict from row to slot that holds only the rows
 decoded so far, so its size says when every row has decoded.  G packs
 its columns once (Matrix.packed_cols), and every sweep and walk on it
-adds those.  decode_message ORs each column's received symbol into one
-more lane, so the sweep also yields the decoded values: a decoded row's
-value is that lane of its basis column.
+adds those.  decode_message evaluates a linear map from the received
+symbols to the decoded values.  The map depends on the erased slots
+alone, so it is found once per pattern on G, by one sweep whose columns
+carry identity tails, and kept in G's table (Matrix.decode_maps, at most
+DECODE_MAPS patterns, the oldest dropped first).  A repeated pattern
+then decodes with one packed product and no elimination: on a stream
+the diagonals fall under few distinct patterns.
 
 One depth-first walk of an erasure-pattern tree (_walk) decodes as it
 goes, so a pattern shares the sweep of its parent up to its last erasure.
@@ -131,28 +135,30 @@ def mux_deadlines(k_v: int, k_u: int, h: int, n: int, T_v: int, T_u: int) -> lis
 
 
 def _decode_times(
-    g: Matrix, p: ErasurePattern, received: Optional[Sequence] = None
+    g: Matrix, p: ErasurePattern, tag: bool = False
 ) -> tuple[dict[int, int], ColumnSpan]:
     """Earliest decode time of each row of g that decodes under p, and the span.
 
     Row j decodes at the slot whose column brings e_j into the span; a row
     that never decodes has no entry.  The sweep stops once every row has
-    one.  With received, each column of g.packed_cols carries its
-    received symbol in lane g.rows.  p must cover exactly the codeword's
-    slots.
+    one.  With tag, the span has g.rows + g.cols lanes and column t of
+    g.packed_cols carries e_t in tail lane g.rows + t, so a decoded row's
+    basis column holds in its tail the coefficients that combine the
+    received symbols into that row's value (_decode_map reads them).  p
+    must cover exactly the codeword's slots.
     """
     if p.horizon != g.cols:
         raise ValueError(f"pattern horizon {p.horizon} != codeword length {g.cols}")
-    span = ColumnSpan(g.field, g.rows, g.rows + (received is not None))
-    q, sh = g.field.q, g.rows * span.lanes.width
+    k = g.rows
+    span = ColumnSpan(g.field, k, k + g.cols if tag else k)
+    L = span.lanes.width
     times: dict[int, int] = {}
     for t, (lo, hi) in enumerate(g.packed_cols):
         if t not in p:
-            if received is not None:
-                y = received[t]
-                lo, hi = lo | y % q << sh, hi | y // q << sh
+            if tag:
+                lo |= 1 << (k + t) * L
             _add_column(span, (lo, hi), t, times)
-        if len(times) == g.rows:
+        if len(times) == k:
             break
     return times, span
 
@@ -195,18 +201,63 @@ def check_pattern(
     return _report(_decode_times(g, p)[0], symbols)
 
 
+# decode maps kept per G (Matrix.decode_maps); the oldest goes first.  1024
+# holds all 523 admissible patterns of the (20,10,6,2) code; an entry takes
+# about 7 KB there and 9 KB at (24,12,9,3), whose 7738 would take 69 MB
+DECODE_MAPS = 1024
+
+
+def _decode_map(g: Matrix, p: ErasurePattern) -> tuple[dict[int, int], list[int], tuple, int]:
+    """The linear map from the symbols received under p to the decoded rows.
+
+    (times, rows, terms, w): the decode times, the decoded rows, and per
+    received slot t whose symbol some decoded row reads, (t, P0, P1) in
+    the layout of Matrix.packed_rows: field i of lanes w bits wide holds
+    FieldSpec.mul_map of row rows[i]'s coefficient c of y_t, so that
+    y0*P0 + y1*P1 adds c*y_t to it, for y_t = y0 + y1*x.  One tagged
+    sweep (_decode_times) gives x_j = sum_t c_jt*y_t in the tail of the
+    basis column of each decoded row j.  A field sums at most cols
+    products of at most 2(q-1)^2, below 2^w.
+    """
+    times, span = _decode_times(g, p, tag=True)
+    f, k = g.field, g.rows
+    q, L, mask = f.q, span.lanes.width, span.lanes.mask
+    w = (2 * g.cols * (q - 1) ** 2).bit_length()
+    rows = list(times)
+    cols = [span.basis[j] for j in rows]
+    terms = []
+    for t in range(g.cols):  # an erased or unswept slot has zero tails
+        sh, p0, p1 = (k + t) * L, 0, 0
+        for i, (b0, b1) in enumerate(cols):
+            c = (b1 >> sh & mask) * q + (b0 >> sh & mask)
+            if c:
+                m00, m01, m10, m11 = f.mul_map(c)
+                p0 |= (m10 << w | m00) << 2 * i * w
+                p1 |= (m11 << w | m01) << 2 * i * w
+        if p0 | p1:
+            terms.append((t, p0, p1))
+    return times, rows, tuple(terms), w
+
+
 def decode_message(
     g: Matrix, received: Sequence, p: ErasurePattern, symbols: Sequence[SymbolDeadline]
 ) -> DecodeReport:
     """Decode actual symbol values from a received sequence.
 
-    Each packed generator column is extended by its received symbol, in
-    lane g.rows, before it enters the span.  Since received = x . G is
-    linear, the basis column that becomes e_j carries x_j in that extra
-    lane, and keeps it as later columns arrive; the value is read from
-    that one lane.  Symbols that never decode are still reported
-    (no early abort), to support falsification tests.  A received symbol
-    must be a display code: an int (not a bool) in [0, q^2).
+    Since received = x . G is linear, each decoded row's value is a fixed
+    GF(q^2) combination of the received symbols, which depends on the
+    erased slots alone.  The first decode of a pattern on g (a miss) finds
+    the decode times and that map in one tagged sweep (_decode_map) and
+    keeps both in g.decode_maps, keyed by p.erased; every later decode of
+    the pattern (a hit) is one packed product over the received symbols,
+    with no elimination, and one lane reduction per decoded row.  The
+    table keeps at most DECODE_MAPS patterns and drops the oldest first.
+    At the (20,10,6,2) and (24,12,9,3) codes a miss costs about 1.6-1.9
+    eliminations with one received lane (its span is g.cols lanes wider,
+    and the map is packed after it), and a hit a sixth to an eighth of one.
+    Symbols that never decode are still reported (no early abort), to
+    support falsification tests.  A received symbol must be a display
+    code: an int (not a bool) in [0, q^2).
     """
     if len(received) != g.cols:
         raise ValueError("received length must equal codeword length")
@@ -217,9 +268,22 @@ def decode_message(
             raise ValueError(f"received sequence inconsistent with pattern at slot {t}")
         if not erased and not (type(y) is int and 0 <= y < order):
             raise ValueError(f"received symbol at slot {t} is not a display code: {y!r}")
-    times, span = _decode_times(g, p, received)
-    q, mask, sh = g.field.q, span.lanes.mask, g.rows * span.lanes.width
-    values = {j: (b1 >> sh & mask) * q + (b0 >> sh & mask) for j, (b0, b1) in span.basis.items()}
+    if p.horizon != g.cols:
+        raise ValueError(f"pattern horizon {p.horizon} != codeword length {g.cols}")
+    maps, key = g.decode_maps, p.erased
+    entry = maps.get(key)
+    if entry is None:
+        if len(maps) >= DECODE_MAPS:
+            del maps[next(iter(maps))]
+        entry = maps[key] = _decode_map(g, p)
+    times, rows, terms, w = entry
+    q, mask = g.field.q, (1 << w) - 1
+    acc = 0
+    for t, p0, p1 in terms:
+        y = received[t]
+        acc += y % q * p0 + y // q * p1
+    values = {j: (acc >> (2 * i + 1) * w & mask) % q * q + (acc >> 2 * i * w & mask) % q
+              for i, j in enumerate(rows)}
     return _report(times, symbols, values)
 
 

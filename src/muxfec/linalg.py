@@ -17,9 +17,11 @@ are in the ColumnSpan docstring).  It grows a fully reduced column basis
 with first-nonzero pivoting: deterministic, and with no stability
 considerations in an exact field.  Each add returns the pivots whose
 basis columns it set, the only ones that can have newly become unit
-vectors.  is_mds and the decoder's unit-vector membership and value
-recovery all rest on it.  G packs its columns once (Matrix.packed_cols),
-and is_mds packs each column of a block once.  is_mds checks the side
+vectors.  is_mds and the decoder's unit-vector membership and decode
+maps (columns with identity tails, as in _dual_columns) all rest on it.
+G packs its columns once (Matrix.packed_cols) and holds decode_message's
+table of decode maps (Matrix.decode_maps), and is_mds packs each column
+of a block once.  is_mds checks the side
 with fewer rows: a k x n code is MDS exactly when its dual is, so a tall
 matrix (2k > n) is brought to systematic form [I | A] by the span's own
 reduction, ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows,
@@ -118,6 +120,16 @@ class Matrix:
         """
         span = ColumnSpan(self.field, self.rows)
         return tuple(span.pack(self.col(j)) for j in range(self.cols))
+
+    @cached_property
+    def decode_maps(self) -> dict:
+        """decoder.decode_message's table: erased slots -> decode map.
+
+        Empty on first use; decode_message fills it and bounds it.  Like
+        packed_cols it lives on the instance, so two equal matrices, such
+        as two loads of one spec, share no entry.
+        """
+        return {}
 
     def lane_codes(self, packed: Iterable[int]) -> list[int]:
         """The display code of the lowest lane of each packed codeword."""

@@ -173,10 +173,13 @@ def stream_encode(
     one product with G's mul_map matrix [[M00 M10], [M01 M11]] gives each
     diagonal's unreduced codeword [lo | hi], reduced to display codes, and
     packet t, lane j is then lane j of diagonal t - j (zero for t < j).
-    Every sum is at most 2k(q-1)^2, so int64 is exact below 2^63; a code
-    whose sums can pass that is encoded by push, which is exact at every
-    q.  numpy is imported here, not at module level, so that importing the
-    package does not pay for it.
+    The symbols are reduced mod q^2 in one int64 array, or one at a time
+    when one lies outside int64 (the type check runs first: numpy would
+    take a bool or truncate a float).  Every sum is at most 2k(q-1)^2,
+    so int64 is exact below 2^63; a code whose sums can pass that is
+    encoded by push, which is exact at every q.  numpy is imported here,
+    not at module level, so that importing the package does not pay for
+    it.
     """
     state = StreamState(code)  # refuses a G that is not causal
     p, g = code.params, code.G
@@ -197,7 +200,11 @@ def stream_encode(
         raise ValueError("message lanes must be (k_v, k_u) wide")
     slots = len(msgs)
     x = np.zeros((slots + n, k), np.int64)
-    x[:slots] = np.fromiter(map(order.__rmod__, flat), np.int64, slots * k).reshape(slots, k)
+    try:
+        coded = np.array(flat, np.int64) % order
+    except OverflowError:  # a symbol outside int64: reduce each one exactly first
+        coded = np.fromiter(map(order.__rmod__, flat), np.int64, slots * k)
+    x[:slots] = coded.reshape(slots, k)
     gen = np.array([s.gen_time for s in code.symbol_deadlines()], np.int64)  # lane r is row r
     diag = x[np.arange(slots)[:, None] + gen, np.arange(k)]
     maps = np.array([g.field.mul_map(e) for e in g.data], np.int64).reshape(k, n, 4)

@@ -6,9 +6,12 @@ pairs, determinants by permutation expansion, rank by maximal nonzero
 minor search, and inverses by the extended Euclidean algorithm over the
 polynomial ring.  ReferenceSpan, the slow path that the packed
 linalg.ColumnSpan must match, is built from these pair oracles too, so
-a fault in FieldSpec's arithmetic cannot hide in it.  KERNEL_FIELDS are
-the fields the field arithmetic, the packed encoder and the packed span
-are tested over.
+a fault in FieldSpec's arithmetic cannot hide in it.  The one exception
+is reference_decode_message, the value decoder that the decode-map
+table replaced: one received-lane elimination per call, on the
+library's ColumnSpan, which ReferenceSpan checks.  KERNEL_FIELDS are the
+fields the field arithmetic, the packed encoder and the packed span are
+tested over.
 
 The paper's statements that the pipeline never evaluates live here too:
 the case analysis of short merges (m <= N-1; select_parameters always
@@ -21,7 +24,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
+from muxfec.decoder import _add_column, _report
 from muxfec.galois import FieldSpec, field_spec
+from muxfec.linalg import ColumnSpan
 
 # c1 != 0 in the first three exercises the x-term of x^2 = -c1*x - c0,
 # which the default fields of odd q (c1 = 0) never do
@@ -247,6 +252,28 @@ def sequential_substitution(matrix, received):
             acc = o_sub(acc, o_mul(out[j], coef, q, c1, c0), q)
         out.append(acc)  # diagonal entry is 1
     return [pair_code(a, q) for a in out]
+
+
+def reference_decode_message(g, received, p, symbols):
+    """decoder.decode_message by a fresh elimination per call, the path
+    the table of decode maps replaced: each packed column of G carries
+    its received symbol in one more lane, g.rows, before it enters the
+    span, so the basis column that becomes e_j carries x_j there.  The
+    span is linalg.ColumnSpan, itself checked against ReferenceSpan.  No
+    input checks: received must be consistent with p and hold display
+    codes."""
+    k, q = g.rows, g.field.q
+    span = ColumnSpan(g.field, k, k + 1)
+    sh, mask = k * span.lanes.width, span.lanes.mask
+    times = {}
+    for t, (lo, hi) in enumerate(g.packed_cols):
+        if t not in p:
+            y = received[t]
+            _add_column(span, (lo | y % q << sh, hi | y // q << sh), t, times)
+        if len(times) == k:
+            break
+    values = {j: (b1 >> sh & mask) * q + (b0 >> sh & mask) for j, (b0, b1) in span.basis.items()}
+    return _report(times, symbols, values)
 
 
 def admissible_bruteforce(horizon, W, B, N, erased):

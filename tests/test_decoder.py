@@ -13,6 +13,7 @@ from muxfec.channel import (
     enumerate_admissible_patterns,
 )
 from muxfec.decoder import (
+    DECODE_MAPS,
     SymbolDeadline,
     block_deadlines,
     check_pattern,
@@ -26,7 +27,13 @@ from muxfec.linalg import Matrix
 from muxfec.muxcode import build_mux_code, select_parameters
 from muxfec.singlecode import build_single_code
 
-from oracles import codes_to_pairs, sequential_substitution, unit_in_span_bruteforce
+from oracles import (
+    KERNEL_FIELDS,
+    codes_to_pairs,
+    reference_decode_message,
+    sequential_substitution,
+    unit_in_span_bruteforce,
+)
 
 STREAM_SPEC = Path(__file__).resolve().parents[1] / "perfbench/specs/stream_20_10_6_2.json"
 
@@ -300,6 +307,72 @@ def test_decode_message_on_columns_a_walk_cached(example_code):
         assert report == decode_message(fresh, received, p, deadlines)
         assert [s.value for s in report.symbols if s.decode_time is not None] == \
             [x for x, s in zip(msg, report.symbols) if s.decode_time is not None]
+
+
+def random_generator(spec, k, n, rng):
+    """A k x n Matrix of random display codes over spec, about half of them zero."""
+    return Matrix(k, n, spec, tuple(rng.choice((0, rng.randrange(spec.order)))
+                                    for _ in range(k * n)))
+
+
+@pytest.mark.parametrize("spec", [*KERNEL_FIELDS, None],
+                         ids=lambda spec: "example_code" if spec is None else str(spec))
+def test_decode_message_matches_reference(example_code, spec):
+    """The table of decode maps against one elimination per call: on
+    random generators over each kernel field, where some rows never
+    decode, and on the example code; under admissible patterns, arbitrary
+    ones, none erased and all erased; for codewords and for arbitrary
+    display codes.  The first decode of a pattern on G is a miss, its
+    repeat and the arbitrary word a hit, and an equal fresh Matrix misses
+    again: every DecodeReport equals reference_decode_message's, values
+    and decode times included."""
+    rng = random.Random(str(spec))
+    if spec is None:
+        g0 = example_code.G
+        g = Matrix(g0.rows, g0.cols, g0.field, g0.data)  # no earlier test's maps
+        ch, symbols = example_code.verification_channel(), example_code.symbol_deadlines()
+    else:
+        g = random_generator(spec, 4, 9, rng)
+        ch, symbols = ChannelModel(5, 3, 1), block_deadlines(4, 9, 3)
+    n, order = g.cols, g.field.order
+    admissible = enumerate_admissible_patterns(n, ch)
+    patterns = [ErasurePattern(n), ErasurePattern(n, tuple(range(n))), *rng.sample(admissible, 20)]
+    patterns += [ErasurePattern(n, tuple(t for t in range(n) if rng.random() < 0.4))
+                 for _ in range(20)]
+    for p in dict.fromkeys(patterns):
+        msg = [rng.randrange(order) for _ in range(g.rows)]
+        codeword = apply_erasure(g.vec_mul(msg), p)
+        arbitrary = apply_erasure([rng.randrange(order) for _ in range(n)], p)
+        assert p.erased not in g.decode_maps
+        for received in (codeword, codeword, arbitrary):
+            want = reference_decode_message(g, received, p, symbols)
+            assert decode_message(g, received, p, symbols) == want, (p, received)
+            assert p.erased in g.decode_maps
+        want = reference_decode_message(g, codeword, p, symbols)
+        assert decode_message(Matrix(g.rows, g.cols, g.field, g.data), codeword, p, symbols) == want
+        assert [s.value for s in want.symbols if s.decode_time is not None] == \
+            [x for x, s in zip(msg, want.symbols) if s.decode_time is not None]
+
+
+def test_decode_maps_stay_within_their_bound(example_code):
+    """More distinct patterns than DECODE_MAPS: the table never holds more,
+    the oldest patterns go first, and an evicted pattern decodes again,
+    equal to the reference."""
+    rng = random.Random(23)
+    g0 = example_code.G
+    g = Matrix(g0.rows, g0.cols, g0.field, g0.data)
+    n, order, symbols = g.cols, g.field.order, example_code.symbol_deadlines()
+    patterns = [ErasurePattern(n, tuple(t for t in range(n) if mask >> t & 1))
+                for mask in rng.sample(range(1 << n), DECODE_MAPS + 40)]
+    words = [apply_erasure([rng.randrange(order) for _ in range(n)], p) for p in patterns]
+    for p, received in zip(patterns, words):
+        decode_message(g, received, p, symbols)
+        assert len(g.decode_maps) <= DECODE_MAPS
+    assert list(g.decode_maps) == [p.erased for p in patterns[40:]]
+    for p, received in zip(patterns[:40], words):
+        assert decode_message(g, received, p, symbols) == \
+            reference_decode_message(g, received, p, symbols)
+    assert len(g.decode_maps) == DECODE_MAPS
 
 
 def test_report_serialization(example_code):

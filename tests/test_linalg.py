@@ -409,8 +409,9 @@ def test_column_span_matches_reference(spec):
     """The packed elimination against the pair-oracle one: the same verdict
     on every add and the same basis after it, read as display codes, on
     columns with tails, all in GF(q) or not, and on copies taken midway;
-    at dims up to 25 with tails up to dim, the shapes of _dual_columns and
-    decode_message; and with columns of worst_case_entry, whose residue
+    at dims up to 25 with tails up to twice dim, the shapes of
+    _dual_columns, decode_message's tagged sweep and the reference
+    decoder; and with columns of worst_case_entry, whose residue
     (_reduce, as _dual_columns reads it) drives the lanes to their
     unreduced bound.  add returns exactly the pivots whose basis columns it
     created or rebound, told apart by identity, with the new pivot first,
@@ -427,7 +428,7 @@ def test_column_span_matches_reference(spec):
         assert not got or got[0] not in before
 
     shapes = [(rng.randint(1, 6), rng.randint(0, 3)) for _ in range(150)]
-    shapes += [(12, 12), (25, 0), (25, 1), (25, 25)]
+    shapes += [(12, 12), (12, 24), (25, 0), (25, 1), (25, 25)]
     for trial, (dim, tail) in enumerate(shapes):
         base_only = trial % 3 == 0  # every column in GF(q)
         span, ref = ColumnSpan(spec, dim, dim + tail), ReferenceSpan(spec, dim)
@@ -559,14 +560,17 @@ def test_spec_load_builds_no_packed_cols():
 
 @pytest.mark.parametrize("dim", range(1, 31))
 def test_one_more_lane_keeps_width_and_offset(dim):
-    """decode_message puts G's packed columns, laid out for dim lanes, in a
-    span of dim + 1 lanes: both layouts have the same lane width and
-    per-lane offset, at every field size of the draw schedule."""
+    """decode_message's tagged sweep puts G's packed columns, laid out for
+    dim lanes, in a span of dim + cols lanes, and the reference decoder in
+    one of dim + 1: every such layout has the lane width and per-lane
+    offset of dim lanes, at every field size of the draw schedule."""
     for q in [*sorted(set(field_sizes(2, MAX_ATTEMPTS))), 2**61 - 1]:
-        short, long = linalg._lanes(q, dim, dim), linalg._lanes(q, dim + 1, dim)
-        assert long.width == short.width, q
-        assert long.offset & long.mask == short.offset & short.mask, q
-        assert long.head == short.head, q
+        short = linalg._lanes(q, dim, dim)
+        for extra in (1, dim, 3 * dim):
+            long = linalg._lanes(q, dim + extra, dim)
+            assert long.width == short.width, (q, extra)
+            assert long.offset & long.mask == short.offset & short.mask, (q, extra)
+            assert long.head == short.head, (q, extra)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, None], ids=repr)
