@@ -165,6 +165,13 @@ MUTANTS = (
          f"{LINALG}test_add_column_stamps_what_a_full_scan_finds"),
     ),
     Mutant(
+        "codes reads the x coordinate without its factor q", "linalg.py",
+        "        x = col[1] * self.field.q + col[0]",
+        "        x = col[1] + col[0]",
+        (f"{LINALG}test_column_span_matches_reference", f"{LINALG}test_is_mds_both_sides_match_bruteforce",
+         f"{DECODER}test_decode_message_matches_reference"),
+    ),
+    Mutant(
         "copy shares the basis dict", "linalg.py",
         "        other.basis = dict(self.basis)",
         "        other.basis = self.basis",
@@ -259,9 +266,15 @@ MUTANTS = (
     # -- erasure patterns and the window rule -------------------------------------
     Mutant(
         "ErasurePattern accepts slots that are not ints", "channel.py",
-        "        bad = next((t for t in self.erased if type(t) is not int), None)",
+        "        bad = next((t for t in erased if type(t) is not int), None)",
         "        bad = None",
         (f"{CHANNEL}test_erasure_pattern_rejects_slots_that_are_not_ints",),
+    ),
+    Mutant(
+        "ErasurePattern reads a one-shot iterable twice", "channel.py",
+        "        erased = tuple(self.erased)",
+        "        erased = self.erased",
+        (f"{CHANNEL}test_erasure_pattern_reads_a_one_shot_iterable_once",),
     ),
     Mutant(
         "new-erasure window rule starts one window late", "channel.py",
@@ -307,8 +320,8 @@ MUTANTS = (
     # -- the decode sweep and the verifier's walk ---------------------------------
     Mutant(
         "_decode_times stamps one slot late", "decoder.py",
-        "_add_column(span, (lo, hi), t, times)",
-        "_add_column(span, (lo, hi), t + 1, times)",
+        "_add_column(span, span.tagged(col, t), t, times)",
+        "_add_column(span, span.tagged(col, t), t + 1, times)",
         (f"{DECODER}test_no_erasures_sequential_times", f"{DECODER}test_example_urgent_anchor_burst",
          f"{DECODER}test_decoder_times_never_beat_span_rank",
          f"{ACCEPTANCE}test_criterion_4_decode_time_anchors"),
@@ -339,19 +352,34 @@ MUTANTS = (
     ),
     # -- decode_message's table of decode maps ------------------------------------
     Mutant(
-        "decoded value read one lane high", "decoder.py",
-        "for i, j in enumerate(rows)}",
-        "for i, j in enumerate(rows, 1)}",
+        "decoded values paired with the rows one off", "decoder.py",
+        "values = dict(zip(times, m.vec_mul(",
+        "values = dict(zip([*times][1:] + [*times][:1], m.vec_mul(",
         (f"{DECODER}test_decode_message_matches_reference",
          f"{DECODER}test_decode_message_recovers_every_maximal_pattern",
          f"{DECODER}test_decode_message_on_columns_a_walk_cached"),
     ),
     Mutant(
-        "decode map tag one lane off", "decoder.py",
-        "lo |= 1 << (k + t) * L",
-        "lo |= 1 << (k + t + 1) * L",
+        "decode map tag one lane off", "linalg.py",
+        "return lo | 1 << (self.dim + t) * self.lanes.width, hi",
+        "return lo | 1 << (self.dim + t + 1) * self.lanes.width, hi",
+        (f"{DECODER}test_decode_message_matches_reference",
+         f"{DECODER}test_decode_message_recovers_every_maximal_pattern",
+         f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
+    ),
+    Mutant(
+        "decode map coefficients read from the head, not the tail", "decoder.py",
+        "coeffs = [span.codes(span.basis[j])[g.rows:] for j in times]",
+        "coeffs = [span.codes(span.basis[j])[:g.cols] for j in times]",
         (f"{DECODER}test_decode_message_matches_reference",
          f"{DECODER}test_decode_message_recovers_every_maximal_pattern"),
+    ),
+    Mutant(
+        "decode map slot filter drops the last slot", "decoder.py",
+        "if any(c[t] for c in coeffs)]",
+        "if any(c[t] for c in coeffs)][:-1]",
+        (f"{DECODER}test_decode_message_matches_reference",
+         f"{DECODER}test_round_trip_all_pattern_families"),
     ),
     Mutant(
         "decode map keyed without the last erasure", "decoder.py",
@@ -361,8 +389,8 @@ MUTANTS = (
     ),
     Mutant(
         "decode map hit skips the last received slot", "decoder.py",
-        "for t, p0, p1 in terms:",
-        "for t, p0, p1 in terms[:-1]:",
+        "m.vec_mul([received[t] for t in slots])",
+        "m.vec_mul([received[t] for t in slots][:-1] + [0])",
         (f"{DECODER}test_decode_message_matches_reference",
          f"{DECODER}test_round_trip_all_pattern_families"),
     ),

@@ -48,10 +48,11 @@ class ErasurePattern:
             raise ValueError(f"horizon is not an int: {self.horizon!r}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        bad = next((t for t in self.erased if type(t) is not int), None)
+        erased = tuple(self.erased)  # read once: a generator is used up by one pass
+        bad = next((t for t in erased if type(t) is not int), None)
         if bad is not None:
             raise ValueError(f"erased slot is not an int: {bad!r}")
-        ordered = tuple(sorted(set(self.erased)))
+        ordered = tuple(sorted(set(erased)))
         if ordered != self.erased:
             object.__setattr__(self, "erased", ordered)
         if self.erased and not (0 <= self.erased[0] and self.erased[-1] < self.horizon):

@@ -8,13 +8,14 @@ earliest decode time; check_pattern and decode_message both read it.
 The decode times are a dict from row to slot that holds only the rows
 decoded so far, so its size says when every row has decoded.  G packs
 its columns once (Matrix.packed_cols), and every sweep and walk on it
-adds those.  decode_message evaluates a linear map from the received
-symbols to the decoded values.  The map depends on the erased slots
-alone, so it is found once per pattern on G, by one sweep whose columns
-carry identity tails, and kept in G's table (Matrix.decode_maps, at most
-DECODE_MAPS patterns, the oldest dropped first).  A repeated pattern
-then decodes with one packed product and no elimination: on a stream
-the diagonals fall under few distinct patterns.
+adds those.  The sweep's columns carry identity tails, so it also gives
+the linear map from the received symbols to the decoded values.
+decode_message keeps that map as a Matrix.  The map depends on the
+erased slots alone, so it is found once per pattern on G and kept in G's
+table (Matrix.decode_maps, at most DECODE_MAPS patterns, the oldest
+dropped first).  A repeated pattern then decodes with one Matrix.vec_mul
+and no elimination: on a stream the diagonals fall under few distinct
+patterns.
 
 One depth-first walk of an erasure-pattern tree (_walk) decodes as it
 goes, so a pattern shares the sweep of its parent up to its last erasure.
@@ -134,30 +135,26 @@ def mux_deadlines(k_v: int, k_u: int, h: int, n: int, T_v: int, T_u: int) -> lis
     return out
 
 
-def _decode_times(
-    g: Matrix, p: ErasurePattern, tag: bool = False
-) -> tuple[dict[int, int], ColumnSpan]:
+def _decode_times(g: Matrix, p: ErasurePattern) -> tuple[dict[int, int], ColumnSpan]:
     """Earliest decode time of each row of g that decodes under p, and the span.
 
     Row j decodes at the slot whose column brings e_j into the span; a row
     that never decodes has no entry.  The sweep stops once every row has
-    one.  With tag, the span has g.rows + g.cols lanes and column t of
-    g.packed_cols carries e_t in tail lane g.rows + t, so a decoded row's
-    basis column holds in its tail the coefficients that combine the
-    received symbols into that row's value (_decode_map reads them).  p
-    must cover exactly the codeword's slots.
+    one.  The span has g.rows + g.cols lanes and column t of g.packed_cols
+    enters tagged with e_t (ColumnSpan.tagged), so a decoded row's basis
+    column holds in its tail the coefficients that combine the received
+    symbols into that row's value (_decode_map reads them).  A tag is never
+    a pivot, so the times are those of an untagged sweep.  p must cover
+    exactly the codeword's slots.
     """
     if p.horizon != g.cols:
         raise ValueError(f"pattern horizon {p.horizon} != codeword length {g.cols}")
     k = g.rows
-    span = ColumnSpan(g.field, k, k + g.cols if tag else k)
-    L = span.lanes.width
+    span = ColumnSpan(g.field, k, k + g.cols)
     times: dict[int, int] = {}
-    for t, (lo, hi) in enumerate(g.packed_cols):
+    for t, col in enumerate(g.packed_cols):
         if t not in p:
-            if tag:
-                lo |= 1 << (k + t) * L
-            _add_column(span, (lo, hi), t, times)
+            _add_column(span, span.tagged(col, t), t, times)
         if len(times) == k:
             break
     return times, span
@@ -195,48 +192,35 @@ def check_pattern(
     """Decode times of all symbols under one pattern, checked against deadlines.
 
     This is the single-pattern reference: one sweep from scratch, sharing
-    nothing with other patterns.  verify_matrix and miss_table get the same
-    times from one walk over many patterns.
+    nothing with other patterns, the sweep of a decode_message miss.
+    verify_matrix and miss_table get the same times from one walk over
+    many patterns.
     """
     return _report(_decode_times(g, p)[0], symbols)
 
 
 # decode maps kept per G (Matrix.decode_maps); the oldest goes first.  1024
 # holds all 523 admissible patterns of the (20,10,6,2) code; an entry takes
-# about 7 KB there and 9 KB at (24,12,9,3), whose 7738 would take 69 MB
+# about 12 KB there and 18 KB at (24,12,9,3), whose 7738 would take 136 MB,
+# so the cap holds a G's table to about 18 MB
 DECODE_MAPS = 1024
 
 
-def _decode_map(g: Matrix, p: ErasurePattern) -> tuple[dict[int, int], list[int], tuple, int]:
+def _decode_map(g: Matrix, p: ErasurePattern) -> tuple[dict[int, int], list[int], Matrix]:
     """The linear map from the symbols received under p to the decoded rows.
 
-    (times, rows, terms, w): the decode times, the decoded rows, and per
-    received slot t whose symbol some decoded row reads, (t, P0, P1) in
-    the layout of Matrix.packed_rows: field i of lanes w bits wide holds
-    FieldSpec.mul_map of row rows[i]'s coefficient c of y_t, so that
-    y0*P0 + y1*P1 adds c*y_t to it, for y_t = y0 + y1*x.  One tagged
-    sweep (_decode_times) gives x_j = sum_t c_jt*y_t in the tail of the
-    basis column of each decoded row j.  A field sums at most cols
-    products of at most 2(q-1)^2, below 2^w.
+    (times, slots, m): the decode times, the received slots whose symbols
+    some decoded row reads, and the len(slots) x len(times) Matrix whose
+    column i holds, for the i-th row j of times, the coefficients c_jt
+    over t in slots of x_j = sum_t c_jt*y_t.  One tagged sweep
+    (_decode_times) leaves them in the tail of row j's basis column.  So
+    m.vec_mul of the symbols read is the decoded values in times' order.
     """
-    times, span = _decode_times(g, p, tag=True)
-    f, k = g.field, g.rows
-    q, L, mask = f.q, span.lanes.width, span.lanes.mask
-    w = (2 * g.cols * (q - 1) ** 2).bit_length()
-    rows = list(times)
-    cols = [span.basis[j] for j in rows]
-    terms = []
-    for t in range(g.cols):  # an erased or unswept slot has zero tails
-        sh, p0, p1 = (k + t) * L, 0, 0
-        for i, (b0, b1) in enumerate(cols):
-            c = (b1 >> sh & mask) * q + (b0 >> sh & mask)
-            if c:
-                m00, m01, m10, m11 = f.mul_map(c)
-                p0 |= (m10 << w | m00) << 2 * i * w
-                p1 |= (m11 << w | m01) << 2 * i * w
-        if p0 | p1:
-            terms.append((t, p0, p1))
-    return times, rows, tuple(terms), w
+    times, span = _decode_times(g, p)
+    coeffs = [span.codes(span.basis[j])[g.rows:] for j in times]
+    slots = [t for t in range(g.cols) if any(c[t] for c in coeffs)]
+    m = Matrix(len(slots), len(coeffs), g.field, tuple(c[t] for t in slots for c in coeffs))
+    return times, slots, m
 
 
 def decode_message(
@@ -249,12 +233,12 @@ def decode_message(
     erased slots alone.  The first decode of a pattern on g (a miss) finds
     the decode times and that map in one tagged sweep (_decode_map) and
     keeps both in g.decode_maps, keyed by p.erased; every later decode of
-    the pattern (a hit) is one packed product over the received symbols,
-    with no elimination, and one lane reduction per decoded row.  The
-    table keeps at most DECODE_MAPS patterns and drops the oldest first.
-    At the (20,10,6,2) and (24,12,9,3) codes a miss costs about 1.6-1.9
-    eliminations with one received lane (its span is g.cols lanes wider,
-    and the map is packed after it), and a hit a sixth to an eighth of one.
+    the pattern (a hit) is one Matrix.vec_mul of the symbols the map
+    reads, with no elimination.  The table keeps at most DECODE_MAPS
+    patterns and drops the oldest first.  On a 2-vCPU x86 host a miss
+    took about 0.47 ms at the (20,10,6,2) code and 0.69 ms at
+    (24,12,9,3), and a hit 41 and 47 us, of which vec_mul is about 10 us
+    and the input checks and the report the rest.
     Symbols that never decode are still reported (no early abort), to
     support falsification tests.  A received symbol must be a display
     code: an int (not a bool) in [0, q^2).
@@ -276,14 +260,8 @@ def decode_message(
         if len(maps) >= DECODE_MAPS:
             del maps[next(iter(maps))]
         entry = maps[key] = _decode_map(g, p)
-    times, rows, terms, w = entry
-    q, mask = g.field.q, (1 << w) - 1
-    acc = 0
-    for t, p0, p1 in terms:
-        y = received[t]
-        acc += y % q * p0 + y // q * p1
-    values = {j: (acc >> (2 * i + 1) * w & mask) % q * q + (acc >> 2 * i * w & mask) % q
-              for i, j in enumerate(rows)}
+    times, slots, m = entry
+    values = dict(zip(times, m.vec_mul([received[t] for t in slots])))
     return _report(times, symbols, values)
 
 

@@ -133,9 +133,6 @@ class FieldSpec:
         e0, e1 = e % q, e // q
         return e0, -self.c0 * e1 % q, e1, (e0 - self.c1 * e1) % q
 
-    def parts(self, a: int) -> tuple[int, int]:
-        return a % self.q, a // self.q
-
     def is_base(self, a: int) -> bool:
         return a < self.q
 

@@ -7,8 +7,9 @@ of each symbol in fixed-width bit fields, and a symbol a0 + a1*q adds
 a0*P0 + a1*P1 of its row, two big-int multiplies with no loop over the
 entries.  vec_mul and the online stream encoder (StreamState.push) both
 accumulate with it and reduce each output symbol once, with
-Matrix.lane_codes.  The one
-elimination is ColumnSpan, on packed columns too: a column is two ints,
+Matrix.lane_codes; it is the one kernel for every fixed linear map in the
+package, the encoding map and decode_message's decode maps alike.  The
+one elimination is ColumnSpan, on packed columns too: a column is two ints,
 the GF(q) coordinates of 1 and of x of its entries in lanes of L bits,
 and a row operation is a few big-int multiplies by FieldSpec.mul_map
 entries over a per-lane offset, then one exact multiply-shift quotient
@@ -18,7 +19,8 @@ with first-nonzero pivoting: deterministic, and with no stability
 considerations in an exact field.  Each add returns the pivots whose
 basis columns it set, the only ones that can have newly become unit
 vectors.  is_mds and the decoder's unit-vector membership and decode
-maps (columns with identity tails, as in _dual_columns) all rest on it.
+maps (columns with identity tails, ColumnSpan.tagged, as in
+_dual_columns) all rest on it.
 G packs its columns once (Matrix.packed_cols) and holds decode_message's
 table of decode maps (Matrix.decode_maps), and is_mds packs each column
 of a block once.  is_mds checks the side
@@ -92,7 +94,10 @@ class Matrix:
         fields: every map entry and every a0, a1 lies in [0, q), so a
         field summing at most `rows` rows stays below 2*rows*(q-1)^2 < 2^w.
         Built on the first encode, not with the matrix: most matrices
-        (submatrix, is_mds blocks) never encode.  It keeps this layout, not
+        (submatrix, is_mds blocks) never encode.  A decode map of
+        decode_message is a Matrix too: the decode that finds it packs it
+        here, and every later decode of its pattern reuses the packing.
+        It keeps this layout, not
         ColumnSpan's two ints per column, because those would take four
         multiplies per symbol where this takes two, in lanes no narrower.
         """
@@ -229,10 +234,8 @@ def _dual_columns(f: FieldSpec, k: int, cols: list[list[int]]) -> Optional[list[
     dual, before its e_i.
     """
     span = ColumnSpan(f, k, 2 * k)
-    L = span.lanes.width
     for t in range(k):
-        lo, hi = span.pack(cols[t])
-        if not span.add((lo | 1 << (k + t) * L, hi)):
+        if not span.add(span.tagged(span.pack(cols[t]), t)):
             return None
     n_k = len(cols) - k
     rows = [span.codes(span._reduce(span.pack(c)))[k:] + [int(i == j) for j in range(n_k)]
@@ -351,11 +354,21 @@ class ColumnSpan:
             hi = hi << L | e // q
         return lo, hi
 
-    def codes(self, col: tuple[int, int]) -> list[int]:
-        """The display codes of a packed column with reduced lanes."""
-        q, L, mask = self.field.q, self.lanes.width, self.lanes.mask
+    def tagged(self, col: tuple[int, int], t: int) -> tuple[int, int]:
+        """col with e_t in its tail: a 1 in lane dim + t, which must be
+        zero in col.  Columns added tagged carry an identity tail, so a
+        basis column's tail holds the coefficients of the added columns
+        that combine into it (_dual_columns, decoder._decode_times)."""
         lo, hi = col
-        return [(hi >> i & mask) * q + (lo >> i & mask) for i in range(0, self.lanes.length * L, L)]
+        return lo | 1 << (self.dim + t) * self.lanes.width, hi
+
+    def codes(self, col: tuple[int, int]) -> list[int]:
+        """The display codes of a packed column with reduced lanes.  A code
+        is below q^2 <= 2^L, so hi*q + lo holds every entry's code in its
+        lane with no carry, and each is read with one shift."""
+        L, mask = self.lanes.width, self.lanes.mask
+        x = col[1] * self.field.q + col[0]
+        return [x >> i & mask for i in range(0, self.lanes.length * L, L)]
 
     def copy(self) -> "ColumnSpan":
         """An independent span.  Packed columns are ints, never mutated, so

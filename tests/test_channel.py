@@ -40,6 +40,17 @@ def test_erasure_pattern_validation_and_normalisation():
     assert ErasurePattern(0).as_bits() == []
 
 
+def test_erasure_pattern_reads_a_one_shot_iterable_once():
+    """A generator, iterator or map is read once: its erasures are kept,
+    sorted, and its slots are still type-checked."""
+    want = ErasurePattern(10, (1, 2, 3))
+    for erased in ((t for t in [2, 1, 3]), iter([3, 1, 2, 1]), map(int, "312")):
+        p = ErasurePattern(10, erased)
+        assert p == want and p.erased == (1, 2, 3)
+    with pytest.raises(ValueError, match="erased slot is not an int"):
+        ErasurePattern(10, (t for t in [1, 2.0]))
+
+
 @pytest.mark.parametrize("erased", [(2.5,), (3, 2.0), (True,), (1, False), ("3",)], ids=repr)
 def test_erasure_pattern_rejects_slots_that_are_not_ints(erased):
     """A float slot matches no slot of the codeword, so it would decode as

@@ -412,16 +412,13 @@ def _verifier_variants(code):
     yield g, ChannelModel(max(g.cols - 4, ch.B + 1), ch.B, ch.N), [symbols]
 
 
-@pytest.mark.parametrize("name", ["example", "single_6_4_2", "single_8_4_3", "committed_size"])
-def test_verifier_matches_bruteforce(request, name):
-    """The walk against check_pattern over every enumerated admissible pattern."""
-    code = {
-        "example": lambda: request.getfixturevalue("example_code"),
-        "single_6_4_2": lambda: build_single_code(6, 4, 2, seed=0),
-        "single_8_4_3": lambda: build_single_code(8, 4, 3, seed=0),
-        "committed_size": lambda: request.getfixturevalue("committed_size_code"),
-    }[name]()
-    verdicts = []
+def walk_matches_bruteforce(code) -> tuple[int, int]:
+    """The walk against check_pattern over every enumerated admissible
+    pattern, on the code's gate and each variant of _verifier_variants:
+    the verdict, patterns_checked, and a counterexample that is admissible
+    and misses under check_pattern too.  Returns the patterns decoded by
+    brute force and the walks run; CI runs it at the paper point."""
+    verdicts, patterns = [], 0
     for g, ch, deadline_lists in _verifier_variants(code):
         # brute-force decode times per row, one check_pattern per pattern
         rows = block_deadlines(g.rows, g.cols, g.cols - 1)
@@ -429,6 +426,7 @@ def test_verifier_matches_bruteforce(request, name):
             p: [s.decode_time for s in check_pattern(g, p, rows).symbols]
             for p in enumerate_admissible_patterns(g.cols, ch)
         }
+        patterns += len(brute)
         for symbols in deadline_lists:
             result = verify_matrix(g, symbols, ch)
             expect = all(
@@ -446,6 +444,19 @@ def test_verifier_matches_bruteforce(request, name):
                 assert 1 <= result.patterns_checked <= len(brute)
             verdicts.append(result.passed)
     assert verdicts[0] and not all(verdicts)
+    return patterns, len(verdicts)
+
+
+@pytest.mark.parametrize("name", ["example", "single_6_4_2", "single_8_4_3", "committed_size"])
+def test_verifier_matches_bruteforce(request, name):
+    """The walk against check_pattern over every enumerated admissible pattern."""
+    code = {
+        "example": lambda: request.getfixturevalue("example_code"),
+        "single_6_4_2": lambda: build_single_code(6, 4, 2, seed=0),
+        "single_8_4_3": lambda: build_single_code(8, 4, 3, seed=0),
+        "committed_size": lambda: request.getfixturevalue("committed_size_code"),
+    }[name]()
+    walk_matches_bruteforce(code)
 
 
 def test_committed_spec_walk_is_pinned():

@@ -88,7 +88,7 @@ def test_inv_examples():
 def test_beta_inverse_matches_extended_euclid_oracle():
     spec = field_spec(11)
     beta = 11  # x itself
-    lo, hi = ext_euclid_inverse(spec.parts(beta), spec.q, spec.c1, spec.c0)
+    lo, hi = ext_euclid_inverse(code_pairs([beta], spec.q)[0], spec.q, spec.c1, spec.c0)
     oracle_inv = spec.code(lo, hi)
     assert spec.mul(beta, oracle_inv) == 1
     assert spec.inv(beta) == oracle_inv
@@ -130,9 +130,7 @@ def test_in_base_field():
 def test_display_code_round_trip():
     for q in (2, 3, 5, 11):
         spec = field_spec(q)
-        for code in range(spec.order):
-            lo, hi = spec.parts(code)
-            assert (lo, hi) == (code % q, code // q)
+        for code, (lo, hi) in enumerate(code_pairs(range(spec.order), q)):
             assert spec.code(lo, hi) == code
             assert spec.code(lo + q, hi - q) == code  # coordinates reduce mod q
 
@@ -176,10 +174,9 @@ def test_axioms_on_random_extension_triples(q, data):
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     q_, c1, c0 = spec.q, spec.c1, spec.c0
-    pa, pb = spec.parts(a), spec.parts(b)
-    assert spec.parts(mul(a, b)) == o_mul(pa, pb, q_, c1, c0)
-    assert spec.parts(add(a, b)) == o_add(pa, pb, q_)
-    assert spec.parts(spec.sub(a, b)) == o_sub(pa, pb, q_)
+    pa, pb = code_pairs((a, b), q_)
+    assert code_pairs((mul(a, b), add(a, b), spec.sub(a, b)), q_) == \
+        [o_mul(pa, pb, q_, c1, c0), o_add(pa, pb, q_), o_sub(pa, pb, q_)]
 
 
 def test_prime_helpers():
