@@ -34,8 +34,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600
-ACCEPTANCE, CHANNEL, CLI, DECODER, GALOIS, LINALG, STREAM = (
-    f"tests/test_{m}.py::" for m in ("acceptance", "channel", "cli", "decoder", "galois", "linalg", "stream"))
+ACCEPTANCE, ANALYSIS, CHANNEL, CLI, DECODER, GALOIS, LINALG, MUXCODE, SINGLECODE, STREAM = (
+    f"tests/test_{m}.py::" for m in ("acceptance", "analysis", "channel", "cli", "decoder", "galois",
+                                     "linalg", "muxcode", "singlecode", "stream"))
 
 
 class Mutant(NamedTuple):
@@ -49,17 +50,16 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # -- the packed encoding kernel and the GF(q^2) product ----------------------
     Mutant(
-        "packing width one bit short", "linalg.py",
-        "w = (2 * self.rows * (q - 1) ** 2).bit_length() or 1",
-        "w = (2 * self.rows * (q - 1) ** 2).bit_length() - 1 or 1",
-        (f"{LINALG}test_vec_mul_at_worst_case_packing_width",
-         f"{STREAM}test_stream_at_worst_case_packing_width"),
+        "vec_mul reduces in lanes sized for one row fewer", "linalg.py",
+        "lanes = _lanes(f.q, self.cols, self.rows)",
+        "lanes = _lanes(f.q, self.cols, self.rows - 1)",
+        (f"{LINALG}test_vec_mul_at_worst_case_packing_width", f"{LINALG}test_vec_mul_matches_pair_oracle"),
     ),
     Mutant(
-        "packed map entries swapped", "linalg.py",
-        "p0 |= (m10 << w | m00) << 2 * j * w",
-        "p0 |= (m00 << w | m10) << 2 * j * w",
-        (f"{LINALG}test_vec_mul_matches_pair_oracle", f"{STREAM}test_stream_encode_matches_push"),
+        "vec_mul with m00 and m01 swapped", "linalg.py",
+        "lo += m00 * r0 + m01 * r1",
+        "lo += m01 * r0 + m00 * r1",
+        (f"{LINALG}test_vec_mul_matches_pair_oracle", f"{DECODER}test_decode_message_matches_reference"),
     ),
     Mutant(
         "vec_mul accepts any int subclass", "linalg.py",
@@ -91,6 +91,18 @@ MUTANTS = (
         "            if c and gen_time <= t:",
         "            if c and gen_time <= t + 1:",
         (f"{STREAM}test_stream_encode_matches_push",),
+    ),
+    Mutant(
+        "push reads each diagonal's lowest lane one lane high", "stream.py",
+        "return [(hi & mask) % q * q + (lo & mask) % q for lo, hi in live]",
+        "return [(hi >> L & mask) % q * q + (lo >> L & mask) % q for lo, hi in live]",
+        (f"{STREAM}test_stream_encode_matches_push", f"{STREAM}test_stream_at_worst_case_packing_width"),
+    ),
+    Mutant(
+        "push adds the row itself in place of x times the row", "stream.py",
+        "span.pack([f.mul(f.q, e) for e in row])",
+        "span.pack(row)",
+        (f"{STREAM}test_stream_encode_matches_push", f"{STREAM}test_stream_at_worst_case_packing_width"),
     ),
     Mutant(
         "stream encoder accepts any int subclass", "stream.py",
@@ -166,8 +178,8 @@ MUTANTS = (
     ),
     Mutant(
         "codes reads the x coordinate without its factor q", "linalg.py",
-        "        x = col[1] * self.field.q + col[0]",
-        "        x = col[1] + col[0]",
+        "x = col[1] * self.q + col[0] >> start * L",
+        "x = col[1] + col[0] >> start * L",
         (f"{LINALG}test_column_span_matches_reference", f"{LINALG}test_is_mds_both_sides_match_bruteforce",
          f"{DECODER}test_decode_message_matches_reference"),
     ),
@@ -233,8 +245,8 @@ MUTANTS = (
     ),
     Mutant(
         "_dual_columns reads the head instead of the tail", "linalg.py",
-        "rows = [span.codes(span._reduce(span.pack(c)))[k:] + ",
-        "rows = [span.codes(span._reduce(span.pack(c)))[:k] + ",
+        "rows = [span.lanes.codes(span._reduce(span.pack(c)), k) + ",
+        "rows = [span.lanes.codes(span._reduce(span.pack(c)))[:k] + ",
         (f"{LINALG}test_is_mds_matches_rank_definition",
          f"{LINALG}test_is_mds_both_sides_match_bruteforce"),
     ),
@@ -369,8 +381,8 @@ MUTANTS = (
     ),
     Mutant(
         "decode map coefficients read from the head, not the tail", "decoder.py",
-        "coeffs = [span.codes(span.basis[j])[g.rows:] for j in times]",
-        "coeffs = [span.codes(span.basis[j])[:g.cols] for j in times]",
+        "coeffs = [span.lanes.codes(span.basis[j], g.rows) for j in times]",
+        "coeffs = [span.lanes.codes(span.basis[j])[:g.cols] for j in times]",
         (f"{DECODER}test_decode_message_matches_reference",
          f"{DECODER}test_decode_message_recovers_every_maximal_pattern"),
     ),
@@ -426,6 +438,74 @@ MUTANTS = (
         "if _late(times, [(row, deadline + 1) for row, deadline in due]) else []",
         (f"{DECODER}test_miss_table_matches_check_pattern",
          f"{STREAM}test_simulate_matches_per_diagonal_reference", f"{STREAM}test_simulate_report_pinned"),
+    ),
+    # -- parameters, constituents, the merge and its checks ------------------------
+    Mutant(
+        "the regime tie B = 2N-1 taken as random-dominant", "muxcode.py",
+        "    if B >= 2 * N - 1:",
+        "    if B > 2 * N - 1:",
+        (f"{MUXCODE}test_select_parameters_tie_is_burst_dominant",),
+    ),
+    Mutant(
+        "initial_prime without the left block's size", "muxcode.py",
+        "        need = max(need, params.T_v - params.N + 1)\n",
+        "        pass\n",
+        (f"{MUXCODE}test_build_deterministic", f"{STREAM}test_packet_bytes_pinned"),
+    ),
+    Mutant(
+        "no left-MDS check", "muxcode.py",
+        "        if params.regime == BURST_DOMINANT and not is_mds(code.left_mds_sub()):",
+        "        if False:",
+        (f"{MUXCODE}test_left_mds_check_gates_only_the_burst_regime",),
+    ),
+    Mutant(
+        "left-MDS check in both regimes", "muxcode.py",
+        "        if params.regime == BURST_DOMINANT and not is_mds(code.left_mds_sub()):",
+        "        if not is_mds(code.left_mds_sub()):",
+        (f"{MUXCODE}test_left_mds_check_gates_only_the_burst_regime",),
+    ),
+    Mutant(
+        "the rescue entry one column early", "singlecode.py",
+        "            row[j + T] = base_nonzero()",
+        "            row[j + T - 1] = base_nonzero()",
+        (f"{SINGLECODE}test_draw_matches_template", f"{DECODER}test_verifier_matches_bruteforce"),
+    ),
+    Mutant(
+        "g1_sub one column short", "singlecode.py",
+        "range(self.k + self.N - 1))",
+        "range(self.k + self.N - 2))",
+        (f"{SINGLECODE}test_g1_sub_is_mds_bruteforce",),
+    ),
+    Mutant(
+        "special entry never checked", "singlecode.py",
+        "    return StructureReport(g1_ok, g2_ok, special_ok)",
+        "    return StructureReport(g1_ok, g2_ok, True)",
+        (f"{SINGLECODE}test_special_entry_in_the_wrong_field_fails_its_flag",),
+    ),
+    Mutant(
+        "mux_sum_rate takes the worse branch", "analysis.py",
+        "    return max(burst, rand)",
+        "    return min(burst, rand)",
+        (f"{ANALYSIS}test_mux_sum_rate_examples", f"{ANALYSIS}test_mux_sum_rate_branch_selection"),
+    ),
+    Mutant(
+        "round_half_up rounds ties down", "analysis.py",
+        "rounded = (shifted.numerator * 2 + shifted.denominator) // (2 * shifted.denominator)",
+        "rounded = (shifted.numerator * 2 + shifted.denominator - 1) // (2 * shifted.denominator)",
+        (f"{ANALYSIS}test_round_half_up",),
+    ),
+    # -- spec files ----------------------------------------------------------------
+    Mutant(
+        "constituent seeds default to 0, not the master seed", "codespec.py",
+        'd.get("g1_seed", seed), d.get("g2_seed", seed)',
+        'd.get("g1_seed", 0), d.get("g2_seed", 0)',
+        (f"{MUXCODE}test_spec_without_constituent_seeds_takes_the_master_seed",),
+    ),
+    Mutant(
+        "spec regime never checked", "codespec.py",
+        "        if d[\"regime\"] != params.regime:\n",
+        "        if False:\n",
+        (f"{CLI}test_verify_malformed_spec",),
     ),
     # -- output paths are checked before any work ---------------------------------
     Mutant(

@@ -201,8 +201,8 @@ def check_pattern(
 
 # decode maps kept per G (Matrix.decode_maps); the oldest goes first.  1024
 # holds all 523 admissible patterns of the (20,10,6,2) code; an entry takes
-# about 12 KB there and 18 KB at (24,12,9,3), whose 7738 would take 136 MB,
-# so the cap holds a G's table to about 18 MB
+# about 10 KB there and 16 KB at (24,12,9,3), whose 7738 would take 120 MB,
+# so the cap holds a G's table to about 16 MB
 DECODE_MAPS = 1024
 
 
@@ -217,7 +217,7 @@ def _decode_map(g: Matrix, p: ErasurePattern) -> tuple[dict[int, int], list[int]
     m.vec_mul of the symbols read is the decoded values in times' order.
     """
     times, span = _decode_times(g, p)
-    coeffs = [span.codes(span.basis[j])[g.rows:] for j in times]
+    coeffs = [span.lanes.codes(span.basis[j], g.rows) for j in times]
     slots = [t for t in range(g.cols) if any(c[t] for c in coeffs)]
     m = Matrix(len(slots), len(coeffs), g.field, tuple(c[t] for t in slots for c in coeffs))
     return times, slots, m
@@ -236,8 +236,8 @@ def decode_message(
     the pattern (a hit) is one Matrix.vec_mul of the symbols the map
     reads, with no elimination.  The table keeps at most DECODE_MAPS
     patterns and drops the oldest first.  On a 2-vCPU x86 host a miss
-    took about 0.47 ms at the (20,10,6,2) code and 0.69 ms at
-    (24,12,9,3), and a hit 41 and 47 us, of which vec_mul is about 10 us
+    took about 0.40 ms at the (20,10,6,2) code and 0.61 ms at
+    (24,12,9,3), and a hit 45 and 52 us, of which vec_mul is about 15 us
     and the input checks and the report the rest.
     Symbols that never decode are still reported (no early abort), to
     support falsification tests.  A received symbol must be a display

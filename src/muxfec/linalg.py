@@ -1,33 +1,29 @@
 """Dense exact linear algebra over GF(q^2).
 
 Matrices store their entries as integer display codes (see galois) in a
-flat row-major tuple.  The one encoding kernel is Matrix.packed_rows: a
-codeword is one int packing the unreduced GF(q) coordinates of 1 and x
-of each symbol in fixed-width bit fields, and a symbol a0 + a1*q adds
-a0*P0 + a1*P1 of its row, two big-int multiplies with no loop over the
-entries.  vec_mul and the online stream encoder (StreamState.push) both
-accumulate with it and reduce each output symbol once, with
-Matrix.lane_codes; it is the one kernel for every fixed linear map in the
-package, the encoding map and decode_message's decode maps alike.  The
-one elimination is ColumnSpan, on packed columns too: a column is two ints,
-the GF(q) coordinates of 1 and of x of its entries in lanes of L bits,
-and a row operation is a few big-int multiplies by FieldSpec.mul_map
-entries over a per-lane offset, then one exact multiply-shift quotient
-per coordinate that reduces every lane mod q at once (the lane bounds
-are in the ColumnSpan docstring).  It grows a fully reduced column basis
+flat row-major tuple.  There is one packed layout and one reduction,
+ColumnSpan's: a column is two ints, the GF(q) coordinates of 1 and of x
+of its entries in lanes of L bits, and a row operation is a few big-int
+multiplies by FieldSpec.mul_map entries over a per-lane offset, then one
+exact multiply-shift quotient per coordinate that reduces every lane mod
+q at once, _Lanes.mod (the lane bounds are in the ColumnSpan docstring).
+G packs its columns (Matrix.packed_cols) and its rows (Matrix.packed_rows)
+in those lanes, once each.  vec_mul adds each symbol times its packed row
+by the row operation and reduces once: it is every fixed linear map of
+the package, the encoding map and decode_message's decode maps, and the
+online stream encoder (StreamState.push) keeps its diagonals in the same
+lanes.  The one elimination, ColumnSpan, grows a fully reduced column basis
 with first-nonzero pivoting: deterministic, and with no stability
 considerations in an exact field.  Each add returns the pivots whose
 basis columns it set, the only ones that can have newly become unit
 vectors.  is_mds and the decoder's unit-vector membership and decode
 maps (columns with identity tails, ColumnSpan.tagged, as in
-_dual_columns) all rest on it.
-G packs its columns once (Matrix.packed_cols) and holds decode_message's
-table of decode maps (Matrix.decode_maps), and is_mds packs each column
-of a block once.  is_mds checks the side
-with fewer rows: a k x n code is MDS exactly when its dual is, so a tall
-matrix (2k > n) is brought to systematic form [I | A] by the span's own
-reduction, ColumnSpan._reduce, and its dual [-A^T | I], of n - k rows,
-is checked.  On that side it walks the tree of column selections depth
+_dual_columns) all rest on it.  G holds decode_message's table of decode
+maps (Matrix.decode_maps).  is_mds packs each column of a block once and
+checks the side with fewer rows: a k x n code is MDS exactly when its
+dual is, so a tall matrix (2k > n) is brought to systematic form [I | A]
+by the span's own reduction, ColumnSpan._reduce, and its dual [-A^T | I],
+of n - k rows, is checked.  On that side it walks the tree of column selections depth
 first, one span per shared prefix, and tests each full selection by
 whether the span's own reduction of its last column leaves a zero head.
 """
@@ -83,36 +79,17 @@ class Matrix:
         return Matrix(len(rows), len(cols), self.field, data)
 
     @cached_property
-    def packed_rows(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(lane_bits, per row i the pair (P0, P1)): the encoding kernel.
-
-        A packed codeword is one int in which symbol j occupies the lane
-        of lane_bits = 2w bits at bit j*lane_bits: the unreduced GF(q)
-        coordinate of 1 in its low w bits, that of x in its high w bits.
-        P0 and P1 pack FieldSpec.mul_map of row i's entries, so that
-        a0*P0 + a1*P1 is (a0 + a1*x) . (row i) with no carry between
-        fields: every map entry and every a0, a1 lies in [0, q), so a
-        field summing at most `rows` rows stays below 2*rows*(q-1)^2 < 2^w.
-        Built on the first encode, not with the matrix: most matrices
-        (submatrix, is_mds blocks) never encode.  A decode map of
-        decode_message is a Matrix too: the decode that finds it packs it
-        here, and every later decode of its pattern reuses the packing.
-        It keeps this layout, not
-        ColumnSpan's two ints per column, because those would take four
-        multiplies per symbol where this takes two, in lanes no narrower.
+    def packed_rows(self) -> tuple[tuple[int, int], ...]:
+        """Each row packed by ColumnSpan.pack, for a span of dim `rows` and
+        length `cols`: the row version of packed_cols, so a row and a column
+        share a lane width and offset.  Built on the first encode, not with
+        the matrix: most matrices (submatrix, is_mds blocks) never encode.
+        A decode map of decode_message is a Matrix too: the decode that
+        finds it packs it here, and every later decode of its pattern reuses
+        the packing.
         """
-        q, mul_map = self.field.q, self.field.mul_map
-        w = (2 * self.rows * (q - 1) ** 2).bit_length() or 1  # a 0-row matrix packs zeros
-        packed = []
-        for i in range(self.rows):
-            p0 = p1 = 0
-            for j, e in enumerate(self.row(i)):
-                if e:
-                    m00, m01, m10, m11 = mul_map(e)
-                    p0 |= (m10 << w | m00) << 2 * j * w
-                    p1 |= (m11 << w | m01) << 2 * j * w
-            packed.append((p0, p1))
-        return 2 * w, tuple(packed)
+        span = ColumnSpan(self.field, self.rows, self.cols)
+        return tuple(span.pack(self.row(i)) for i in range(self.rows))
 
     @cached_property
     def packed_cols(self) -> tuple[tuple[int, int], ...]:
@@ -136,28 +113,31 @@ class Matrix:
         """
         return {}
 
-    def lane_codes(self, packed: Iterable[int]) -> list[int]:
-        """The display code of the lowest lane of each packed codeword."""
-        w = self.packed_rows[0] // 2
-        q, mask = self.field.q, (1 << w) - 1
-        return [(x >> w & mask) % q * q + (x & mask) % q for x in packed]
-
     def vec_mul(self, vec: Sequence[int]) -> list[int]:
         """Row vector times matrix: vec . M, the encoding map.
 
-        Symbols are ints, reduced mod q^2; anything else raises ValueError.
+        Each nonzero symbol c adds c times its packed row by the row
+        operation of ColumnSpan._reduce, four multiplies by the entries of
+        FieldSpec.mul_map(c), and _Lanes.mod reduces the sum once: a lane
+        sums at most 2*rows products of at most (q-1)^2, which lanes of dim
+        `rows` are sized for.  Symbols are ints, reduced mod q^2; anything
+        else raises ValueError.
         """
         if len(vec) != self.rows:
             raise ValueError("vector length must equal row count")
-        q, order = self.field.q, self.field.order
-        lane_bits, packed = self.packed_rows
-        acc = 0
-        for v, (p0, p1) in zip(vec, packed):
+        f = self.field
+        mul_map, order = f.mul_map, f.order
+        lo = hi = 0
+        for v, (r0, r1) in zip(vec, self.packed_rows):
             if type(v) is not int:
                 raise ValueError(f"message symbol is not an int: {v!r}")
             c = v % order
-            acc += c % q * p0 + c // q * p1
-        return self.lane_codes(acc >> s for s in range(0, lane_bits * self.cols, lane_bits))
+            if c:
+                m00, m01, m10, m11 = mul_map(c)
+                lo += m00 * r0 + m01 * r1
+                hi += m10 * r0 + m11 * r1
+        lanes = _lanes(f.q, self.cols, self.rows)
+        return lanes.codes((lanes.mod(lo), lanes.mod(hi)))
 
     def to_dump(self) -> dict:
         """Matrix dump format: JSON-ready dict with integer display codes."""
@@ -238,7 +218,7 @@ def _dual_columns(f: FieldSpec, k: int, cols: list[list[int]]) -> Optional[list[
         if not span.add(span.tagged(span.pack(cols[t]), t)):
             return None
     n_k = len(cols) - k
-    rows = [span.codes(span._reduce(span.pack(c)))[k:] + [int(i == j) for j in range(n_k)]
+    rows = [span.lanes.codes(span._reduce(span.pack(c)), k) + [int(i == j) for j in range(n_k)]
             for i, c in enumerate(cols[k:])]
     return [list(col) for col in zip(*rows)]
 
@@ -246,16 +226,26 @@ def _dual_columns(f: FieldSpec, k: int, cols: list[list[int]]) -> Optional[list[
 class _Lanes:
     """The lane layout of ColumnSpan for one (q, length, dim); see _lanes."""
 
-    __slots__ = ("width", "mask", "length", "head", "offset", "mod")
+    __slots__ = ("q", "width", "mask", "length", "head", "offset", "mod")
 
-    def __init__(self, width: int, mask: int, length: int, head: int, offset: int,
+    def __init__(self, q: int, width: int, mask: int, length: int, head: int, offset: int,
                  mod: Callable[[int], int]):
+        self.q = q  # the prime of GF(q)
         self.width = width  # L, bits per lane
         self.mask = mask  # one lane of ones
         self.length = length  # lanes per packed coordinate
         self.head = head  # ones over the first dim lanes
         self.offset = offset  # the per-lane offset, in every lane
         self.mod = mod  # every lane, each in [0, 2^a), reduced mod q
+
+    def codes(self, col: tuple[int, int], start: int = 0) -> list[int]:
+        """The display codes of lanes start.. of a packed column with reduced
+        lanes.  A code is below q^2 <= 2^L, so hi*q + lo holds every
+        entry's code in its lane with no carry, and each is read with one
+        shift."""
+        L, mask = self.width, self.mask
+        x = col[1] * self.q + col[0] >> start * L
+        return [x >> i & mask for i in range(0, (self.length - start) * L, L)]
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +266,7 @@ def _lanes(q: int, length: int, dim: int) -> _Lanes:
     def mod(x: int, M: int = M, s: int = s, quotient: int = ((1 << L - s) - 1) * ones) -> int:
         return x - (x * M >> s & quotient) * q
 
-    return _Lanes(L, mask, length, head, offset * ones, mod)
+    return _Lanes(q, L, mask, length, head, offset * ones, mod)
 
 
 class ColumnSpan:
@@ -295,7 +285,7 @@ class ColumnSpan:
 
     Lane layout.  A column is two ints (lo, hi): the GF(q) coordinates of
     1 and of x of its entries, entry i in the lane of L bits at bit i*L
-    (pack; codes reads them back).  Columns are packed once (G's in
+    (pack; _Lanes.codes reads them back).  Columns are packed once (G's in
     Matrix.packed_cols) and added packed.  L and the offset depend only
     on (q, dim), so a column packed for dim lanes is one of a longer span
     with its extra lanes zero.  A stored column has every lane in [0, q).
@@ -361,14 +351,6 @@ class ColumnSpan:
         that combine into it (_dual_columns, decoder._decode_times)."""
         lo, hi = col
         return lo | 1 << (self.dim + t) * self.lanes.width, hi
-
-    def codes(self, col: tuple[int, int]) -> list[int]:
-        """The display codes of a packed column with reduced lanes.  A code
-        is below q^2 <= 2^L, so hi*q + lo holds every entry's code in its
-        lane with no carry, and each is read with one shift."""
-        L, mask = self.lanes.width, self.lanes.mask
-        x = col[1] * self.field.q + col[0]
-        return [x >> i & mask for i in range(0, self.lanes.length * L, L)]
 
     def copy(self) -> "ColumnSpan":
         """An independent span.  Packed columns are ints, never mutated, so

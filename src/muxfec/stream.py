@@ -18,12 +18,12 @@ packets and the same errors.  stream_encode, the batch encoder, takes
 the whole sequence at once: one numpy matrix product gives every
 diagonal's codeword, and one gather skews the diagonals into packets.
 StreamState.push, the online encoder, takes one slot at a time, as a
-sender must: it keeps each live diagonal as one int, its codeword so far
-packed by Matrix.packed_rows, adds a symbol's packed row of G to it when
-the symbol arrives (two big-int multiplies), and reduces a lane to its
-display code once, when the packet carrying it is emitted: a shift, a
-mask and % q (Matrix.lane_codes).  The tests hold the batch encoder to
-push, slot by slot.
+sender must: it keeps each live diagonal as a (lo, hi) pair, its codeword
+so far in the lanes of Matrix.packed_rows, adds a symbol times its
+packed row of G to it when the symbol arrives, and reduces a lane to its
+display code once, when the packet carrying it is emitted: a mask and
+% q on each coordinate.  The tests hold the batch encoder to push, slot
+by slot.
 
 During warm-up only diagonals starting at slot 0 or later transmit, so
 the first n-1 packets are partially filled with zeros and message
@@ -49,6 +49,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .channel import ErasurePattern, is_admissible
 from .decoder import miss_table
+from .linalg import ColumnSpan, _lanes
 from .muxcode import MuxCode
 
 
@@ -100,16 +101,18 @@ class StreamState:
     push encodes one slot as it arrives; stream_encode, the batch encoder,
     sends the same packets for a whole known sequence at once.
 
-    A diagonal is one int, a codeword of G packed by Matrix.packed_rows:
-    the GF(q) coordinates of 1 and x of each lane, summed without
-    reduction in fixed-width bit fields.  After the push of slot t,
-    diagonals[j] is the diagonal started at slot t-j, shifted down by j
-    lanes, so that its lowest lane is lane j, the one slot t sent.  An
-    arriving message symbol a0 + a1*q adds a0*P0 + a1*P1 of its row of
-    G, shifted down by its generation time, to its diagonal, and the
-    packet reduces the lowest lane of each diagonal once, with
-    Matrix.lane_codes.  Lane j of a diagonal is sent j slots after the
-    diagonal starts, so it holds every symbol that has arrived by then.
+    A diagonal is a (lo, hi) pair in the lanes of Matrix.packed_rows: the
+    GF(q) coordinates of 1 and x of its codeword so far, unreduced.  After
+    the push of slot t, diagonals[j] is the diagonal started at slot t-j,
+    shifted down by j lanes, so that its lowest lane is lane j, the one
+    slot t sent.  An arriving symbol a0 + a1*x adds a0 times its packed
+    row of G and a1 times x times that row (packed once, with the row, so
+    a symbol costs four multiplies and no FieldSpec.mul_map call), shifted
+    down by its generation time, to its diagonal.  A lane so sums at most
+    2k products of at most (q-1)^2, which the lanes are sized for, and the
+    packet reduces the lowest lane of each diagonal once, % q on each
+    coordinate.  Lane j of a diagonal is sent j slots after the diagonal
+    starts, so it holds every symbol that has arrived by then.
     G must be causal (row r zero before its symbol's arrival slot), so that
     this is every symbol with a nonzero entry in lane j, and a complete
     diagonal sends exactly its block encoding; a G that is not raises
@@ -118,24 +121,28 @@ class StreamState:
 
     code: MuxCode
     clock: int = 0
-    # diagonals[j]: packed codeword so far of the diagonal started at slot
-    # clock-1-j, shifted down by j lanes; zero before slot 0
-    diagonals: list[int] = field(init=False)
-    # message lane (v lanes, then u lanes) -> (gen_time, P0, P1): the lane's
-    # symbol at slot t feeds diagonal t - gen_time with its row of G, packed
-    # and shifted down by gen_time lanes, like that diagonal
-    routes: list[tuple[int, int, int]] = field(init=False, repr=False)
+    # diagonals[j]: packed (lo, hi) codeword so far of the diagonal started
+    # at slot clock-1-j, shifted down by j lanes; zero before slot 0
+    diagonals: list[tuple[int, int]] = field(init=False)
+    # message lane (v lanes, then u lanes) -> (gen_time, r0, r1, x0, x1): the
+    # lane's symbol at slot t feeds diagonal t - gen_time with its packed row
+    # of G and x times it, shifted down by gen_time lanes, like that diagonal
+    routes: list[tuple[int, int, int, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.code.G
-        self.diagonals = [0] * self.code.params.n
-        lane_bits, packed = g.packed_rows
+        f = g.field
+        self.diagonals = [(0, 0)] * self.code.params.n
+        span = ColumnSpan(f, g.rows, g.cols)  # the lanes of g.packed_rows
+        L = span.lanes.width
         self.routes = []
         for s in self.code.symbol_deadlines():
-            if any(g.row(s.row)[: s.gen_time]):
+            row = g.row(s.row)
+            if any(row[: s.gen_time]):
                 raise ValueError(f"G is not causal: row {s.row} ({s.kind}[{s.index}]) is nonzero"
                                  f" before its arrival slot {s.gen_time}")
-            self.routes.append((s.gen_time, *(p >> s.gen_time * lane_bits for p in packed[s.row])))
+            packed = (*g.packed_rows[s.row], *span.pack([f.mul(f.q, e) for e in row]))  # f.q: x
+            self.routes.append((s.gen_time, *(r >> s.gen_time * L for r in packed)))
 
     def push(self, v_t: Sequence[int], u_t: Sequence[int]) -> list[int]:
         """Consume one slot's message symbols and emit one packet.
@@ -146,18 +153,22 @@ class StreamState:
         if len(v_t) != p.k_v or len(u_t) != p.k_u:
             raise ValueError("message lanes must be (k_v, k_u) wide")
         t, g = self.clock, self.code.G
-        q, order, lane_bits = g.field.q, g.field.order, g.packed_rows[0]
+        q, order = g.field.q, g.field.order
+        lanes = _lanes(q, g.cols, g.rows)  # the lanes of g.packed_rows
+        L, mask = lanes.width, lanes.mask
         # age every diagonal by one slot; the oldest one is complete
-        live = [0, *[x >> lane_bits for x in self.diagonals[:-1]]]
-        for (gen_time, p0, p1), sym in zip(self.routes, [*v_t, *u_t]):
+        live = [(0, 0), *[(lo >> L, hi >> L) for lo, hi in self.diagonals[:-1]]]
+        for (gen_time, r0, r1, x0, x1), sym in zip(self.routes, [*v_t, *u_t]):
             if type(sym) is not int:
                 raise ValueError(f"message symbol is not an int: {sym!r}")
             c = sym % order
             if c and gen_time <= t:
-                live[gen_time] += c % q * p0 + c // q * p1
+                a1, a0 = divmod(c, q)
+                lo, hi = live[gen_time]
+                live[gen_time] = lo + a0 * r0 + a1 * x0, hi + a0 * r1 + a1 * x1
         self.diagonals = live
         self.clock += 1
-        return g.lane_codes(live)
+        return [(hi & mask) % q * q + (lo & mask) % q for lo, hi in live]
 
 
 def stream_encode(

@@ -75,7 +75,7 @@ def solve_for_unit(m, j):
         span.add(span.pack(m.col(t) + unit(m.cols, t)))
     if not span.contains_unit(j):
         return None
-    return span.codes(span.basis[j])[m.rows :]
+    return span.lanes.codes(span.basis[j], m.rows)
 
 
 def test_rank_identity():
@@ -365,7 +365,7 @@ def random_entry(rng, spec):
 
 def display(span):
     """The span's basis, read as display codes."""
-    return {p: span.codes(b) for p, b in span.basis.items()}
+    return {p: span.lanes.codes(b) for p, b in span.basis.items()}
 
 
 @pytest.mark.parametrize("spec", SPAN_FIELDS, ids=str)
@@ -449,7 +449,7 @@ def test_column_span_matches_reference(spec):
         cols, worst = fill_to_bound(rng, spec, dim, tail)
         for col in cols:
             step(span, ref, col)
-        assert span.codes(span._reduce(span.pack(worst))) == ref.reduce(worst)
+        assert span.lanes.codes(span._reduce(span.pack(worst))) == ref.reduce(worst)
         step(span, ref, worst)
 
 
@@ -518,14 +518,15 @@ def test_vec_mul_at_worst_case_packing_width(spec):
     """Every symbol q^2-1 (a0 = a1 = q-1) times a matrix whose entries all
     lie outside GF(q), so that every lane sums every row; with the
     worst_case_entry matrix each coordinate of 1 reaches exactly the
-    2*rows*(q-1)^2 that the field width is sized for."""
+    2*rows*(q-1)^2 that the lanes of dim `rows` are sized for."""
     rng = random.Random(spec.q)
     top, worst = spec.order - 1, worst_case_entry(spec.q, spec.c1, spec.c0)
     for r, c in [(1, 1), (2, 3), (5, 4), (9, 7)]:
         for entry in (lambda: worst, lambda: rng.randrange(spec.q, spec.order)):
             m = Matrix.from_rows(spec, [[entry() for _ in range(c)] for _ in range(r)])
-            w = m.packed_rows[0] // 2  # bits per coordinate, half a lane
-            assert 2 ** (w - 1) <= 2 * r * (spec.q - 1) ** 2 < 2 ** w
+            lanes = linalg._lanes(spec.q, c, r)  # the lanes of m.packed_rows
+            a = ((lanes.offset & lanes.mask) + spec.q - 1).bit_length()
+            assert 2 * r * (spec.q - 1) ** 2 < 2**a  # the largest lane sum, within _Lanes.mod's range
             transpose = [list(col) for col in zip(*codes_to_pairs(m))]
             want = mat_vec(transpose, code_pairs([top] * r, spec.q), spec.q, spec.c1, spec.c0)
             assert m.vec_mul([top] * r) == [spec.code(lo, hi) for lo, hi in want]

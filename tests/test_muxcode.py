@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +38,16 @@ def test_select_parameters_random_dominant():
     p = select_parameters(12, 6, 4, 3)
     assert p.regime == RANDOM_DOMINANT  # 4 < 2*3-1
     assert (p.k_u, p.k_v, p.n) == (4, 5, 13)
+
+
+def test_select_parameters_tie_is_burst_dominant():
+    """At B = 2N-1 both k_v formulas agree, but the regime decides the
+    spec's regime field and whether the left block must be MDS: the tie
+    is burst-dominant."""
+    p = select_parameters(10, 5, 3, 2)
+    assert p.regime == BURST_DOMINANT  # 3 == 2*2-1
+    assert (p.k_v, p.k_u, p.n) == (4, 4, 11)
+    assert is_mds(build_mux_code(p, seed=0).left_mds_sub())
 
 
 def test_column_count_identity():
@@ -294,3 +305,25 @@ def test_build_second_burst_geometry():
     left = code.left_mds_sub()
     assert (left.rows, left.cols) == (12, 13)
     assert is_mds(left)
+
+
+def test_left_mds_check_gates_only_the_burst_regime(monkeypatch, random_dominant_code):
+    """With every left block refused, a burst-dominant build runs out on
+    the left-MDS check, and a random-dominant one, which has no such
+    check, builds the same bytes."""
+    monkeypatch.setattr(muxcode, "is_mds", lambda g: False)
+    with pytest.raises(RuntimeError, match="last failure: left submatrix MDS check failed"):
+        build_mux_code(select_parameters(12, 6, 4, 2), seed=0)
+    rebuilt = build_mux_code(random_dominant_code.params, seed=random_dominant_code.seed)
+    assert codespec.dumps(rebuilt) == codespec.dumps(random_dominant_code)
+
+
+def test_spec_without_constituent_seeds_takes_the_master_seed(tmp_path):
+    """A spec with no g1_seed or g2_seed loads with both set to its seed."""
+    d = json.loads(STREAM_SPEC.read_text(encoding="utf-8"))
+    del d["g1_seed"], d["g2_seed"]
+    d["seed"] = 5
+    path = tmp_path / "no_constituent_seeds.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code = codespec.load(path)
+    assert (code.seed, code.g1_seed, code.g2_seed) == (5, 5, 5)

@@ -94,6 +94,20 @@ def test_variant_controls_special_membership():
     assert all(base.field.is_base(e) for e in base.G.data)
 
 
+def test_special_entry_in_the_wrong_field_fails_its_flag(code_956):
+    """The special entry must lie outside GF(q) under the extension variant
+    and be a nonzero element of GF(q) under the base variant."""
+    r, c = code_956.special_pos
+    for variant, wrong in ((EXTENSION_SPECIAL, 1), (BASE_SPECIAL, 0)):
+        rows = [code_956.G.row(i) for i in range(code_956.G.rows)]
+        rows[r][c] = wrong
+        broken = dataclasses.replace(code_956, G=Matrix.from_rows(code_956.field, rows),
+                                     variant=variant)
+        report = verify_single_structure(broken)
+        assert report.special_field_ok is False, variant
+        assert report.passed is False
+
+
 def test_draw_matches_template():
     # the invariants verify_single_structure does not check, entry by entry
     for T, B, N, variant, q, seed in itertools.product(

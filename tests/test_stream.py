@@ -140,7 +140,7 @@ def test_stream_encode_matches_push(request, name):
 def test_stream_at_worst_case_packing_width(example_code, spec):
     """Every symbol q^2-1 through a causal G whose every entry from a row's
     generation time on is the worst_case_entry: the last lanes sum every
-    row at the largest coordinates the field width is sized for.  Each
+    row at the largest coordinates the lanes are sized for.  Each
     complete diagonal must still send its block encoding."""
     p = example_code.params
     gen_time = {s.row: s.gen_time for s in example_code.symbol_deadlines()}
