@@ -113,27 +113,51 @@ MUTANTS = (
     # -- the batch stream encoder ------------------------------------------------
     Mutant(
         "batch encoder skews one lane off", "stream.py",
-        "codes[np.arange(n, slots + n)[:, None] - lanes, lanes]",
-        "codes[np.arange(n, slots + n)[:, None] - lanes - 1, lanes]",
+        "out[(d0 + j) * n + j : (d1 + j) * n + j : n]",
+        "out[(d0 + j) * n + j + 1 : (d1 + j) * n + j + 1 : n]",
         (f"{STREAM}test_stream_encode_matches_push", f"{STREAM}test_packet_bytes_pinned"),
     ),
     Mutant(
         "batch encoder gathers a symbol one slot after its arrival", "stream.py",
-        "x[np.arange(slots)[:, None] + gen, np.arange(k)]",
-        "x[np.arange(slots)[:, None] + gen + 1, np.arange(k)]",
+        "rows.append((sd.gen_time * k + lane,",
+        "rows.append(((sd.gen_time + 1) * k + lane,",
         (f"{STREAM}test_stream_encode_matches_push",
          f"{STREAM}test_single_nonzero_message_traces_one_diagonal"),
     ),
     Mutant(
-        "batch encoder in int64 at every q", "stream.py",
-        "    if 2 * k * (q - 1) ** 2 >= 2**63:\n",
-        "    if False:\n",
+        "batch encoder at every q", "stream.py",
+        "    if order > 1 << 64",
+        "    if False",
         (f"{STREAM}test_stream_at_worst_case_packing_width",),
     ),
     Mutant(
         "batch encoder without the mod-q^2 reduction", "stream.py",
-        "np.fromiter(map(order.__rmod__, flat), np.int64",
-        "np.fromiter(flat, np.int64",
+        "        codes = array(\"Q\", map(order.__rmod__, flat))",
+        "        codes = array(\"Q\", map(abs, flat))",
+        (f"{STREAM}test_stream_encode_matches_push",),
+    ),
+    Mutant(
+        "batch encoder on a big-endian host", "stream.py",
+        " or sys.byteorder != \"little\":",
+        ":",
+        (f"{STREAM}test_stream_encode_hands_a_big_endian_host_to_push",),
+    ),
+    Mutant(
+        "batch encoder lane width one word short", "stream.py",
+        "    words = -(-max(L, L1) // 64)",
+        "    words = -(-max(L, L1) // 64) - 1",
+        (f"{STREAM}test_stream_at_worst_case_packing_width",),
+    ),
+    Mutant(
+        "batch encoder packs a1 at bit 32 whatever the lane width", "stream.py",
+        "            both = x + a1 * ((1 << half) - q)",
+        "            both = x + a1 * ((1 << 32) - q)",
+        (f"{STREAM}test_stream_encode_matches_push_on_wider_lanes",),
+    ),
+    Mutant(
+        "batch encoder leaves symbols in [q^2, 2^64) unreduced", "stream.py",
+        "            if x & high or x + over & high:",
+        "            if False:",
         (f"{STREAM}test_stream_encode_matches_push",),
     ),
     Mutant(

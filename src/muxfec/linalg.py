@@ -6,13 +6,14 @@ ColumnSpan's: a column is two ints, the GF(q) coordinates of 1 and of x
 of its entries in lanes of L bits, and a row operation is a few big-int
 multiplies by FieldSpec.mul_map entries over a per-lane offset, then one
 exact multiply-shift quotient per coordinate that reduces every lane mod
-q at once, _Lanes.mod (the lane bounds are in the ColumnSpan docstring).
+q at once, _Lanes.mod (the lane bounds are in the ColumnSpan docstring,
+and why the quotient is exact in _quotient's, whose constants the batch
+stream encoder's word lanes take too).
 G packs its columns (Matrix.packed_cols) and its rows (Matrix.packed_rows)
 in those lanes, once each.  vec_mul adds each symbol times its packed row
-by the row operation and reduces once: it is every fixed linear map of
-the package, the encoding map and decode_message's decode maps, and the
-online stream encoder (StreamState.push) keeps its diagonals in the same
-lanes.  The one elimination, ColumnSpan, grows a fully reduced column basis
+by the row operation and reduces once: it is the encoding map and
+decode_message's decode maps, and the online stream encoder
+(StreamState.push) keeps its diagonals in the same lanes.  The one elimination, ColumnSpan, grows a fully reduced column basis
 with first-nonzero pivoting: deterministic, and with no stability
 considerations in an exact field.  Each add returns the pivots whose
 basis columns it set, the only ones that can have newly become unit
@@ -236,7 +237,7 @@ class _Lanes:
         self.length = length  # lanes per packed coordinate
         self.head = head  # ones over the first dim lanes
         self.offset = offset  # the per-lane offset, in every lane
-        self.mod = mod  # every lane, each in [0, 2^a), reduced mod q
+        self.mod = mod  # every lane, each in [0, 2^a) of _quotient, reduced mod q
 
     def codes(self, col: tuple[int, int], start: int = 0) -> list[int]:
         """The display codes of lanes start.. of a packed column with reduced
@@ -248,19 +249,49 @@ class _Lanes:
         return [x >> i & mask for i in range(0, (self.length - start) * L, L)]
 
 
-@lru_cache(maxsize=None)
-def _lanes(q: int, length: int, dim: int) -> _Lanes:
-    """The lane layout of ColumnSpan, built on first use, once per
-    (q, length, dim); the bounds and why mod is exact are in the
-    ColumnSpan docstring."""
-    offset = q * -(-2 * dim * (q - 1) ** 2 // q)
-    a = (offset + q - 1).bit_length()
+def _quotient(q: int, bound: int) -> tuple[int, int, int]:
+    """(s, M, L) of the exact lane quotient by q: for every y in [0, bound],
+    y*M >> s is y // q, and y*M < 2^L.  So in lanes of at least L bits,
+    multiplying a packed int by M carries nothing between lanes, and
+    x - q*((x*M >> s) & mask), with mask the width - s low bits of every
+    lane, reduces every lane of x mod q with one multiply-shift quotient.
+
+    - a = bit_length(bound): every lane lies in [0, 2^a);
+    - s = a + bit_length(q-1) and M = ceil(2^s / q): for y in [0, 2^a),
+      floor(y*M / 2^s) = floor(y/q) (Granlund and Montgomery, "Division by
+      Invariant Integers using Multiplication", 1994).  y*M/2^s exceeds
+      y/q by less than y*q/(q*2^s) < 2^(a-s) <= 1/q, as q <= 2^(s-a), and
+      y/q lies at least 1/q below the next integer;
+    - L = bit_length((2^a - 1)*M).  Shifted right by s, each lane's
+      quotient lies in its low width - s bits, under the s low bits of the
+      lane above, which the mask drops.
+
+    M >= 2^a, so L >= 2a: lanes that hold the product hold two halves of
+    a bits each.  ColumnSpan's lanes (_lanes) and the batch stream
+    encoder's word lanes (stream_encode) both take their constants here.
+    """
+    a = bound.bit_length()
     s = a + (q - 1).bit_length()
     M = -(-(1 << s) // q)
     L = (((1 << a) - 1) * M).bit_length()
-    ones = sum(1 << i * L for i in range(length))
+    return s, M, L
+
+
+def _ones(width: int, length: int) -> int:
+    """A 1 at the bottom of each of `length` lanes of `width` bits."""
+    return ((1 << width * length) - 1) // ((1 << width) - 1)
+
+
+@lru_cache(maxsize=None)
+def _lanes(q: int, length: int, dim: int) -> _Lanes:
+    """The lane layout of ColumnSpan, built on first use, once per
+    (q, length, dim); the bounds are in the ColumnSpan docstring and why
+    mod is exact in _quotient's."""
+    offset = q * -(-2 * dim * (q - 1) ** 2 // q)
+    s, M, L = _quotient(q, offset + q - 1)
+    ones = _ones(L, length)
     mask = (1 << L) - 1
-    head = mask * sum(1 << i * L for i in range(dim))
+    head = mask * _ones(L, dim)
 
     # the constants are defaults, so that each call reads them as locals
     def mod(x: int, M: int = M, s: int = s, quotient: int = ((1 << L - s) - 1) * ones) -> int:
@@ -298,25 +329,13 @@ class ColumnSpan:
     own lanes and sums the products before it reduces once.  A lane so
     loses at most dim products, each two terms of at most (q-1)^2: at
     most 2*dim*(q-1)^2.  The bounds, built by _lanes once per
-    (q, length, dim):
-
-    - offset, the least multiple of q >= 2*dim*(q-1)^2, is added to every
-      lane, so no lane goes negative and each keeps its value mod q;
-    - a = bit_length(offset + q - 1): every lane then lies in [0, 2^a);
-    - s = a + bit_length(q-1) and M = ceil(2^s / q): for y in [0, 2^a),
-      floor(y*M / 2^s) = floor(y/q) (Granlund and Montgomery, "Division by
-      Invariant Integers using Multiplication", 1994).  y*M/2^s exceeds
-      y/q by less than y*q/(q*2^s) < 2^(a-s) <= 1/q, as q <= 2^(s-a), and
-      y/q lies at least 1/q below the next integer;
-    - L = bit_length((2^a - 1)*M): the product of a lane with M fits its
-      own lane, so multiplying a packed int by M carries nothing between
-      lanes.  Shifted right by s, each lane's quotient lies in its L - s
-      low bits, under the s low bits of the lane above, which a mask per
-      lane drops.
-
-    So _Lanes.mod, x - q*((x*M >> s) & mask), reduces every lane mod q
-    with one multiply-shift quotient per coordinate, exactly, at any q:
-    the lanes widen with q and dim, with no fixed word size.
+    (q, length, dim): offset, the least multiple of q >= 2*dim*(q-1)^2,
+    is added to every lane, so no lane goes negative and each keeps its
+    value mod q; every lane then lies in [0, offset + q - 1], and L is
+    _quotient's lane width for that bound.  So _Lanes.mod,
+    x - q*((x*M >> s) & mask), reduces every lane mod q with one
+    multiply-shift quotient per coordinate, exactly, at any q: the lanes
+    widen with q and dim, with no fixed word size.
 
     add reduces a column against the basis (_reduce, which the dual of
     is_mds shares), scales it and clears its pivot, the lowest nonzero

@@ -15,8 +15,12 @@ time never exceeds n-1, but it is the slot a violation reports.
 So a known message sequence is encoded by one fixed linear map, G,
 applied to every diagonal.  There are two encoders of it, with the same
 packets and the same errors.  stream_encode, the batch encoder, takes
-the whole sequence at once: one numpy matrix product gives every
-diagonal's codeword, and one gather skews the diagonals into packets.
+the whole sequence at once, with time packed into lanes of w 64-bit
+words, w computed from (q, k): block coordinate r of every diagonal is
+one int, each codeword column is a sum of G's nonzero entries times
+those ints, reduced mod q by linalg._quotient's multiply-shift, and one
+strided array assignment per column skews the diagonals into packets.
+Where a display code does not fit one word (q^2 > 2^64), push encodes.
 StreamState.push, the online encoder, takes one slot at a time, as a
 sender must: it keeps each live diagonal as a (lo, hi) pair, its codeword
 so far in the lanes of Matrix.packed_rows, adds a symbol times its
@@ -43,13 +47,16 @@ grows with the distinct runs, not with the horizon.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import countOf
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .channel import ErasurePattern, is_admissible
 from .decoder import miss_table
-from .linalg import ColumnSpan, _lanes
+from .linalg import ColumnSpan, _lanes, _ones, _quotient
 from .muxcode import MuxCode
 
 
@@ -171,60 +178,117 @@ class StreamState:
         return [(hi & mask) % q * q + (lo & mask) % q for lo, hi in live]
 
 
+# diagonals per chunk of stream_encode, so that a chunk's ints stay in a core's cache
+_CHUNK = 2048
+
+
 def stream_encode(
     messages: Iterable[tuple[Sequence[int], Sequence[int]]], code: MuxCode
 ) -> list[list[int]]:
     """Encode a message sequence; one n-wide packet per slot.
 
     The batch encoder: the same packets as StreamState.push slot by slot,
-    and the same errors, from one matrix product over the whole horizon.
-    Every diagonal d < slots gathers its block message, coordinate r from
-    lane r of slot d + gen_time(r) (zero past the horizon, where causality
-    of G makes it reach no emitted lane), as GF(q) coordinates [v % q | v // q];
-    one product with G's mul_map matrix [[M00 M10], [M01 M11]] gives each
-    diagonal's unreduced codeword [lo | hi], reduced to display codes, and
-    packet t, lane j is then lane j of diagonal t - j (zero for t < j).
-    The symbols are reduced mod q^2 in one int64 array, or one at a time
-    when one lies outside int64 (the type check runs first: numpy would
-    take a bool or truncate a float).  Every sum is at most 2k(q-1)^2,
-    so int64 is exact below 2^63; a code whose sums can pass that is
-    encoded by push, which is exact at every q.  numpy is imported here,
-    not at module level, so that importing the package does not pay for
-    it.
+    and the same errors, from lane arithmetic over the whole horizon.  Time
+    is packed into lanes of w 64-bit words.  Block coordinate r becomes
+    one int whose lane d holds diagonal d's symbol, the one in lane r of
+    slot d + gen_time(r) (zero past the horizon, where causality of G makes
+    it reach no emitted lane), as a0 + a1*2^(32w): its GF(q) coordinates
+    in the two halves of the lane.  Column j of every diagonal's codeword
+    is then sum_r G[r][j] times that int, over G's nonzero entries: an
+    entry in GF(q) scales both halves with one multiply, any other adds
+    a0 and a1 times the columns of its mul_map.  A half so sums at most
+    2k(q-1)^2.  w is the least number of words whose lanes hold
+    linalg._quotient's product for that bound, and for the split of a
+    code below q^2 into its coordinates, so each half is reduced mod q by
+    one multiply-shift quotient; packet t, lane j is then lane t - j of
+    column j, written into the packets by one strided array assignment.
+    The horizon runs in chunks of _CHUNK diagonals.
+
+    Symbols are reduced mod q^2.  array('Q') takes each symbol in
+    [0, 2^64), and a masked check of each lane finds any at or past q^2;
+    symbols outside those ranges are reduced one at a time.  The type
+    check runs first, since array would take a bool.  Where a display code
+    does not fit one word, q^2 > 2^64, push encodes, which is exact at
+    every q; so it does on a big-endian host, where the words of an array
+    are not the little-endian lanes int.from_bytes reads.
     """
     state = StreamState(code)  # refuses a G that is not causal
     p, g = code.params, code.G
-    q, order, n, k = g.field.q, g.field.order, p.n, g.rows
-    if 2 * k * (q - 1) ** 2 >= 2**63:
+    f = g.field
+    q, order, n, k = f.q, f.order, p.n, g.rows
+    if order > 1 << 64 or sys.byteorder != "little":
         return [state.push(v_t, u_t) for v_t, u_t in messages]
-    import numpy as np
-
     msgs = list(messages)
     # push's first error: a slot's width is checked before its symbols
     short = next((t for t, (v_t, u_t) in enumerate(msgs)
                   if len(v_t) != p.k_v or len(u_t) != p.k_u), len(msgs))
     flat = list(chain.from_iterable(chain.from_iterable(msgs[:short])))
-    if set(map(type, flat)) - {int}:
+    if countOf(map(type, flat), int) < len(flat):
         bad = next(sym for sym in flat if type(sym) is not int)
         raise ValueError(f"message symbol is not an int: {bad!r}")
     if short < len(msgs):
         raise ValueError("message lanes must be (k_v, k_u) wide")
     slots = len(msgs)
-    x = np.zeros((slots + n, k), np.int64)
+    if not slots:
+        return []
     try:
-        coded = np.array(flat, np.int64) % order
-    except OverflowError:  # a symbol outside int64: reduce each one exactly first
-        coded = np.fromiter(map(order.__rmod__, flat), np.int64, slots * k)
-    x[:slots] = coded.reshape(slots, k)
-    gen = np.array([s.gen_time for s in code.symbol_deadlines()], np.int64)  # lane r is row r
-    diag = x[np.arange(slots)[:, None] + gen, np.arange(k)]
-    maps = np.array([g.field.mul_map(e) for e in g.data], np.int64).reshape(k, n, 4)
-    # lo = m00*a0 + m01*a1 and hi = m10*a0 + m11*a1 of each entry's mul_map
-    m = np.block([[maps[..., 0], maps[..., 2]], [maps[..., 1], maps[..., 3]]])
-    word = np.concatenate([diag % q, diag // q], axis=1) @ m
-    codes = np.concatenate([np.zeros((n, n), np.int64), word[:, n:] % q * q + word[:, :n] % q])
-    lanes = np.arange(n)
-    return codes[np.arange(n, slots + n)[:, None] - lanes, lanes].tolist()
+        codes = array("Q", flat)
+    except OverflowError:  # a symbol below 0 or past 2^64: reduce each one first
+        codes = array("Q", map(order.__rmod__, flat))
+    s, M, L = _quotient(q, 2 * k * (q - 1) ** 2)  # a half of a codeword lane
+    s1, M1, L1 = _quotient(q, order - 1)  # a code, split into its coordinates
+    words = -(-max(L, L1) // 64)
+    width, half = 64 * words, 32 * words
+    ones = _ones(width, min(slots, _CHUNK))
+    low = ((1 << half) - 1) * ones
+    quot, quot1 = ((1 << width - s) - 1) * ones, ((1 << width - s1) - 1) * ones
+    top = (order - 1).bit_length()  # x & high: a code of 2^top or more
+    high, over = ((1 << width) - (1 << top)) * ones, ((1 << top) - order) * ones
+    # per message lane: the index in codes of its symbol on diagonal 0, and its
+    # row's nonzero entries, (j, e) for e in GF(q), else (j, a0's and a1's multipliers)
+    rows = []
+    for lane, sd in enumerate(code.symbol_deadlines()):
+        base, ext = [], []
+        for j, e in enumerate(g.row(sd.row)):
+            if 0 < e < q:
+                base.append((j, e))
+            elif e:
+                m00, m01, m10, m11 = f.mul_map(e)
+                ext.append((j, m00 + (m10 << half), m01 + (m11 << half)))
+        rows.append((sd.gen_time * k + lane, base, ext))
+    out = array("Q", [0]) * ((slots + n) * n)  # packets past the horizon are dropped
+    for d0 in range(0, slots, _CHUNK):
+        d1 = min(d0 + _CHUNK, slots)
+        cols = [0] * n
+        for first, base, ext in rows:
+            sym = codes[first + d0 * k : first + d1 * k : k]
+            x = _word_lanes(sym, words)
+            if x & high or x + over & high:  # a symbol in [q^2, 2^64): reduce each one
+                x = _word_lanes(array("Q", map(order.__rmod__, sym)), words)
+            a1 = x * M1 >> s1 & quot1
+            both = x + a1 * ((1 << half) - q)  # a0 + a1*2^half
+            for j, e in base:
+                cols[j] += e * both
+            if ext:
+                a0 = x - a1 * q
+                for j, m0, m1 in ext:
+                    cols[j] += a0 * m0 + a1 * m1
+        for j, y in enumerate(cols):
+            lo, hi = y & low, y >> half & low
+            lo -= (lo * M >> s & quot) * q
+            hi -= (hi * M >> s & quot) * q
+            col = array("Q", (hi * q + lo).to_bytes(8 * words * (d1 - d0), "little"))
+            out[(d0 + j) * n + j : (d1 + j) * n + j : n] = col[::words]
+    return memoryview(out)[: slots * n].cast("B").cast("Q", [slots, n]).tolist()
+
+
+def _word_lanes(symbols: array, words: int) -> int:
+    """The int whose lane d, of `words` 64-bit words, holds symbols[d]."""
+    if words > 1:
+        wide = array("Q", bytes(8 * words * len(symbols)))
+        wide[::words] = symbols
+        symbols = wide
+    return int.from_bytes(symbols, "little")
 
 
 # (d0, d1, t, rel): the diagonals d0 <= d < d1 whose first erasure is t; see _runs

@@ -89,11 +89,40 @@ def test_references_are_named_in_their_module_docstrings():
                 f"the {module} docstring does not name {name} as a reference")
 
 
-def test_cli_import_leaves_numpy_out():
-    """Only stream_encode imports numpy, inside the call: the CLI's import,
-    which a run of every subcommand pays, stays without it."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import muxfec.cli; "
-            "assert 'numpy' not in sys.modules, 'numpy imported'")
-    proc = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
-                          capture_output=True, text=True, timeout=60)
+def test_package_imports_only_the_standard_library():
+    """Every import in src/muxfec names a standard-library module or muxfec
+    itself: the package has no runtime dependency."""
+    allowed = sys.stdlib_module_names | {"muxfec"}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]  # a relative import is muxfec's
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not outside, f"imports outside the standard library: {outside}"
+
+
+def test_stream_encode_runs_without_numpy():
+    """In an interpreter where numpy cannot be imported, stream_encode on
+    the example code sends push's packets, slot by slot, over 3n seeded
+    slots with symbols past q^2 and negative ones."""
+    code = """
+import sys
+sys.modules["numpy"] = None
+sys.path[:0] = sys.argv[1:]
+from muxfec.muxcode import build_mux_code, select_parameters
+from muxfec.stream import StreamState, stream_encode
+from test_stream import seeded_messages
+code = build_mux_code(select_parameters(12, 6, 4, 2), seed=0)
+msgs = seeded_messages(code, 3 * code.params.n, 0, extreme=True)
+state = StreamState(code)
+assert stream_encode(msgs, code) == [state.push(v_t, u_t) for v_t, u_t in msgs]
+"""
+    argv = [sys.executable, "-I", "-c", code, str(ROOT / "src"), str(ROOT / "tests")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from muxfec import codespec
+from muxfec import codespec, stream
 from muxfec.channel import ChannelModel, ErasurePattern, is_admissible, random_erasure_sequence
 from muxfec.decoder import check_pattern, verify_achievable
 from muxfec.galois import field_spec
@@ -91,14 +91,14 @@ def test_packet_values_match_block_encoding(example_code, random_dominant_code,
 def seeded_messages(code, slots, seed, extreme=False):
     """Seeded message lanes: GF(q^2) symbols, zeros, and symbols >= q^2,
     which the encoders reduce mod q^2; with extreme, also negative
-    symbols and symbols of either sign past the int64 range."""
+    symbols and symbols of either sign past 2^64."""
     p, order = code.params, code.field.order
     rng = random.Random(seed)
 
     def symbol():
         if extreme and rng.random() < 0.25:
-            past_int64 = rng.choice((-1, 1)) * 2**64 + rng.randrange(order)
-            return rng.choice((-rng.randrange(1, 3 * order), past_int64))
+            past_word = rng.choice((-1, 1)) * 2**64 + rng.randrange(order)
+            return rng.choice((-rng.randrange(1, 3 * order), past_word))
         return rng.choice((0, rng.randrange(order), rng.randrange(order, 3 * order)))
 
     return [([symbol() for _ in range(p.k_v)], [symbol() for _ in range(p.k_u)])
@@ -124,24 +124,51 @@ def test_packet_bytes_pinned(request, name):
 def test_stream_encode_matches_push(request, name):
     """The batch encoder sends exactly the packets of StreamState.push,
     slot by slot: on seeded messages with zeros, symbols >= q^2, negative
-    symbols and symbols past int64, at horizons 0, 1, n-1, n and 3n, and
-    with the messages given as a generator."""
+    symbols and symbols past 2^64, and on the same symbols mod 2^64, which
+    all fit a word and take negative ones to just below 2^64; at horizons
+    0, 1, n-1, n and 3n, and with the messages given as a generator."""
     code = request.getfixturevalue(name)
     n = code.params.n
     for slots in (0, 1, n - 1, n, 3 * n):
-        msgs = seeded_messages(code, slots, slots, extreme=True)
+        extreme = seeded_messages(code, slots, slots, extreme=True)
+        in_word = [([s % 2**64 for s in v_t], [s % 2**64 for s in u_t]) for v_t, u_t in extreme]
+        for msgs in (extreme, in_word):
+            state = StreamState(code)
+            want = [state.push(v_t, u_t) for v_t, u_t in msgs]
+            assert stream_encode(msgs, code) == want, slots
+            assert stream_encode((m for m in msgs), code) == want, slots
+
+
+@pytest.mark.parametrize("q", [10369, 2**32 - 5])
+def test_stream_encode_matches_push_on_wider_lanes(example_code, q):
+    """example_code's G over GF(q^2) for a q whose lanes take two words
+    (10369) or three (2^32 - 5), where every entry, a code below 11^2, lies
+    in GF(q) and costs one multiply of a multi-word lane: the batch encoder
+    sends push's packets on seeded messages and on their symbols mod 2^64."""
+    g = example_code.G
+    code = dataclasses.replace(example_code, G=Matrix(g.rows, g.cols, field_spec(q), g.data))
+    extreme = seeded_messages(code, 3 * code.params.n, q, extreme=True)
+    in_word = [([s % 2**64 for s in v_t], [s % 2**64 for s in u_t]) for v_t, u_t in extreme]
+    for msgs in (extreme, in_word):
         state = StreamState(code)
-        want = [state.push(v_t, u_t) for v_t, u_t in msgs]
-        assert stream_encode(msgs, code) == want, slots
-        assert stream_encode((m for m in msgs), code) == want, slots
+        assert stream_encode(msgs, code) == [state.push(v_t, u_t) for v_t, u_t in msgs]
 
 
-@pytest.mark.parametrize("spec", [*KERNEL_FIELDS, field_spec(2**61 - 1)], ids=str)
+# At example_code's k = 10, stream_encode's lanes take one 64-bit word up
+# to q = 10357, two from 10369 to 679093949, and three from 679093963 up to
+# 2^32 - 5, the last prime below 2^32; past it a display code does not fit
+# a word (q^2 > 2^64), and push encodes: 2^32 + 15 and 2^61 - 1.
+STEP_FIELDS = [field_spec(q) for q in (10357, 10369, 679093949, 679093963, 2**32 - 5, 2**32 + 15,
+                                       2**61 - 1)]
+
+
+@pytest.mark.parametrize("spec", [*KERNEL_FIELDS, *STEP_FIELDS], ids=str)
 def test_stream_at_worst_case_packing_width(example_code, spec):
     """Every symbol q^2-1 through a causal G whose every entry from a row's
     generation time on is the worst_case_entry: the last lanes sum every
     row at the largest coordinates the lanes are sized for.  Each
-    complete diagonal must still send its block encoding."""
+    complete diagonal must still send its block encoding, on each side of
+    every step of the encoder's lane width and of its hand-over to push."""
     p = example_code.params
     gen_time = {s.row: s.gen_time for s in example_code.symbol_deadlines()}
     worst, top = worst_case_entry(spec.q, spec.c1, spec.c0), spec.order - 1
@@ -155,6 +182,18 @@ def test_stream_at_worst_case_packing_width(example_code, spec):
     packets = stream_encode([([top] * p.k_v, [top] * p.k_u)] * (3 * p.n), code)
     for d in range(2 * p.n + 1):
         assert [packets[d + j][j] for j in range(p.n)] == want, f"diagonal {d}"
+
+
+def test_stream_encode_hands_a_big_endian_host_to_push(example_code, monkeypatch):
+    """On a big-endian host the words of an array are not the little-endian
+    lanes int.from_bytes reads, so stream_encode sends push's packets
+    without packing a lane (_word_lanes, which every batch encode calls)."""
+    msgs = seeded_messages(example_code, 3 * example_code.params.n, 7)
+    state = StreamState(example_code)
+    want = [state.push(v_t, u_t) for v_t, u_t in msgs]
+    monkeypatch.setattr(stream.sys, "byteorder", "big")
+    monkeypatch.setattr(stream, "_word_lanes", None)
+    assert stream_encode(msgs, example_code) == want
 
 
 def test_stream_rejects_a_generator_that_is_not_causal(tmp_path):
